@@ -14,8 +14,9 @@
 // its nodes in one cache-friendly pass over struct-of-arrays state (see
 // fleet.go and docs/FLEET.md). Because members are independent — each
 // owns its node, runner and governor, coupled only through the shared
-// fixed-step clock — the sharded run is byte-identical to the retained
-// single-engine reference path (single.go) for any shard count.
+// fixed-step clock — the sharded run is byte-identical to a single
+// engine stepping every member (the tests' reference path) for any
+// shard count.
 package cluster
 
 import (

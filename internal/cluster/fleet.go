@@ -33,8 +33,9 @@ import (
 // all-tasks-then-all-components order. Every cross-member float is
 // folded in canonical member order at reassembly — the aggregate trace,
 // the energy total, the observer's final gauges, the stuck-member error
-// — which makes RunFleet byte-identical to runReference for any shard
-// count. The identity tests in fleet_test.go pin this.
+// — which makes RunFleet byte-identical to the single-engine reference
+// (runReference, reference_test.go) for any shard count. The identity
+// tests in fleet_test.go pin this.
 
 // TelemetryMode selects how much per-member trace a run retains.
 type TelemetryMode int

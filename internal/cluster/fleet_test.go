@@ -10,6 +10,7 @@ import (
 
 	"github.com/spear-repro/magus/internal/faults"
 	"github.com/spear-repro/magus/internal/governor"
+	"github.com/spear-repro/magus/internal/harness"
 	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/obs"
 	"github.com/spear-repro/magus/internal/workload"
@@ -274,5 +275,54 @@ func TestFleetWasteLedger(t *testing.T) {
 	wasted.UncoreWaste, wasted.WasteBalanced = nil, false
 	if mustJSON(t, wasted) != mustJSON(t, plain) {
 		t.Error("waste ledger perturbed the run result")
+	}
+}
+
+// TestFleetSingleMemberEqualsRun pins one way to wire a simulated node
+// run: a 1-member fleet reports bit for bit the energy and completion
+// time harness.Run reports for the same spec, across governors (incl.
+// a power cap) and fault plans.
+func TestFleetSingleMemberEqualsRun(t *testing.T) {
+	govs := []struct {
+		name    string
+		factory harness.GovernorFactory
+	}{
+		{"default", func() governor.Governor { return governor.NewDefault() }},
+		{"magus", magusFactory},
+		{"ups", func() governor.Governor { return governor.NewUPS(governor.UPSConfig{}) }},
+		{"duf", func() governor.Governor { return governor.NewDUF(governor.DUFConfig{}) }},
+		{"magus+cap150", func() governor.Governor { return governor.WithPowerCap(magusFactory(), 150) }},
+	}
+	for _, app := range []string{"bfs", "srad", "unet"} {
+		prog, ok := workload.ByName(app)
+		if !ok {
+			t.Fatalf("no workload %q", app)
+		}
+		for _, g := range govs {
+			for _, planName := range []string{"", "pcm-flaky", "chaos"} {
+				var plan *faults.Plan
+				if planName != "" {
+					if plan, ok = faults.Preset(planName); !ok {
+						t.Fatalf("fault preset %s missing", planName)
+					}
+				}
+				label := fmt.Sprintf("%s/%s/faults=%q", app, g.name, planName)
+				spec := NodeSpec{Name: "n0", Config: node.IntelA100(), Workload: prog,
+					Factory: g.factory, Seed: 1, Faults: plan}
+				fl, err := RunFleet([]NodeSpec{spec}, Options{TopK: 1})
+				if err != nil {
+					t.Fatalf("%s: fleet: %v", label, err)
+				}
+				run, err := harness.Run(spec.Config, prog, g.factory(), harness.Options{Seed: 1, Faults: plan})
+				if err != nil {
+					t.Fatalf("%s: run: %v", label, err)
+				}
+				top := fl.Top[0]
+				if top.EnergyJ != run.TotalEnergyJ() || top.DoneS != run.RuntimeS {
+					t.Errorf("%s: fleet member energy %v J, done %v s; harness.Run %v J, %v s",
+						label, top.EnergyJ, top.DoneS, run.TotalEnergyJ(), run.RuntimeS)
+				}
+			}
+		}
 	}
 }

@@ -12,13 +12,13 @@ import (
 	"github.com/spear-repro/magus/internal/telemetry"
 )
 
-// This file retains the pre-sharding cluster implementation: every
-// member stepped inside one sim.Engine on one goroutine, with one
-// telemetry probe per member. It is the semantic reference the sharded
-// engine (fleet.go) is pinned against — the identity tests require
-// RunFleet output to be byte-identical to runReference for any shard
-// count — and the "before" side of BenchmarkFleet. It is not reachable
-// from the public API.
+// This file retains the pre-sharding cluster implementation, as test
+// code only: every member stepped inside one sim.Engine on one
+// goroutine, with one telemetry probe per member. It is the semantic
+// reference the sharded engine (fleet.go) is pinned against — the
+// identity tests require RunFleet output to be byte-identical to
+// runReference for any shard count — and the "before" side of
+// BenchmarkFleet.
 
 // runReference executes the batch on a single engine. It mirrors
 // Run/RunObserved exactly as they behaved before sharding, plus the

@@ -42,7 +42,7 @@ func TestTrendRingMatchesSlice(t *testing.T) {
 // Algorithm 2 input must never drift.
 func TestRollingTuneCountMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m := &MAGUS{cfg: DefaultConfig()}
+	m := &MAGUS{mdfs: mdfs{cfg: DefaultConfig()}}
 	m.tuneLog = ring.Filled(m.cfg.Window, 0)
 	for op := 0; op < 5000; op++ {
 		if rng.Intn(97) == 0 {

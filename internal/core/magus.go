@@ -323,27 +323,13 @@ type Stats struct {
 // MAGUS is the runtime. Create with New, bind with Attach, then let the
 // harness call Invoke on the decision schedule.
 type MAGUS struct {
-	cfg Config
+	// mdfs carries the configuration and the decision automaton.
+	mdfs
 	env *governor.Env
 
 	// sensor is the resilient read path over env.PCM: bounded retry,
 	// virtual-clock timeouts, wild/stale rejection and health tracking.
 	sensor *resilient.MemSensor
-
-	memHist *ring.Buffer[float64]
-	tuneLog *ring.Buffer[int]
-	// tuneCount is the number of non-zero entries currently in tuneLog,
-	// maintained incrementally by pushTune so the Algorithm 2 check
-	// never rescans the log.
-	tuneCount int
-
-	warmupLeft int
-	highFreq   bool
-	targetGHz  float64
-	// lastTrend is the previous cycle's prediction; a differing
-	// non-flat prediction is a tune event (trend edge), logged even
-	// while the high-frequency override is pinning the uncore (§3.2).
-	lastTrend Trend
 
 	stats      Stats
 	onDecision []func(Decision)
@@ -354,7 +340,7 @@ func New(cfg Config) *MAGUS {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &MAGUS{cfg: cfg}
+	return &MAGUS{mdfs: mdfs{cfg: cfg}}
 }
 
 // Name implements governor.Governor.
@@ -404,9 +390,6 @@ func (m *MAGUS) OnDecision(fn func(Decision)) {
 	m.onDecision = append(m.onDecision, fn)
 }
 
-// TargetGHz returns the uncore limit MAGUS currently requests.
-func (m *MAGUS) TargetGHz() float64 { return m.targetGHz }
-
 // Attach implements governor.Governor. Per §4, nodes idle with the
 // uncore at its minimum; MAGUS begins its warm-up when the application
 // arrives.
@@ -419,22 +402,11 @@ func (m *MAGUS) Attach(env *governor.Env) error {
 	}
 	m.env = env
 	m.sensor = resilient.NewMemSensor(env.PCM, m.cfg.Resilience)
-	m.memHist = ring.New[float64](m.cfg.Window)
-	// uncore_tune_ls initialised to Window zeros (§3.3).
-	m.tuneLog = ring.Filled(m.cfg.Window, 0)
-	m.tuneCount = 0
-	m.warmupLeft = m.cfg.WarmupCycles
-	m.highFreq = false
+	m.reset(env.UncoreMinGHz, env.UncoreMaxGHz)
 	m.stats = Stats{}
-
-	start := env.UncoreMinGHz
-	if m.cfg.WarmupAtMax {
-		start = env.UncoreMaxGHz
-	}
-	if err := env.SetUncoreMax(start); err != nil {
+	if err := env.SetUncoreMax(m.targetGHz); err != nil {
 		return err
 	}
-	m.targetGHz = start
 	m.stats.MSRWrites += uint64(env.Sockets)
 	return nil
 }
@@ -453,179 +425,39 @@ func (m *MAGUS) Invoke(now time.Duration) time.Duration {
 		// budget, so this cycle finishes after its successor was due.
 		m.stats.WatchdogOverruns++
 	}
-	if !r.OK {
-		return m.missedSample(now, r)
-	}
-	if r.RecoveredFromLost {
-		// The sensor returned after a full outage: the trend window and
-		// tune log hold pre-outage state that no longer describes the
-		// workload. Re-enter warm-up (uncore stays pinned at max until
-		// it completes, so recovery never costs performance).
-		m.restartWarmup()
-	}
-	thr := r.GBs
-	prevGHz := m.targetGHz
-	m.memHist.Push(thr)
-	deriv := m.deriv1()
-
-	if m.warmupLeft > 0 {
-		m.warmupLeft--
+	d, tuned := m.step(ReplayInput{
+		ThroughputGBs: r.GBs, Missed: !r.OK, Lost: r.Health == resilient.Lost,
+		Recovered: r.RecoveredFromLost,
+	}, m.writeUncore)
+	if d.Warmup && !d.Missed {
 		m.stats.WarmupCycles++
-		m.pushTune(0)
-		reason := ReasonWarmup
-		if m.warmupLeft == 0 {
-			// Warm-up complete: start from peak uncore performance so
-			// rapidly rising demand is never starved at kick-off (§3.3).
-			m.setUncore(m.env.UncoreMaxGHz)
-			m.lastTrend = TrendUp
-			reason = ReasonWarmupExit
+	}
+	if tuned {
+		m.stats.TuneEvents++
+		if d.HighFreq {
+			m.stats.Overrides++
 		}
-		m.emit(Decision{
-			At: now, ThroughputGBs: thr, Warmup: true, TargetGHz: m.targetGHz,
-			PrevGHz: prevGHz, DerivGBs: deriv, RingFill: m.memHist.Len(), Reason: reason,
-		})
+	}
+	d.At, d.SensorHealth = now, r.Health
+	m.emit(d)
+	if d.Warmup {
 		// Warm-up cycles are pure monitoring at the paper's 0.2 s
 		// frequency (10 cycles = 2.0 s); full decision cycles with the
 		// 0.1 s invocation window start afterwards (§3.3, §6.5).
 		return m.cfg.Interval + r.Latency
 	}
-
-	// Phase 2 first (Algorithm 3 lines 9–15): the high-frequency state
-	// is computed from the log of *previous* cycles' decisions — the
-	// rolling non-zero count over the same ratio HighFrequency scans.
-	hi := !m.cfg.DisableHighFreq &&
-		float64(m.tuneCount)/float64(m.tuneLog.Len()) >= m.cfg.HighFreqThreshold
-	m.highFreq = hi
-	acted := false
-	if hi {
-		acted = m.setUncore(m.env.UncoreMaxGHz)
+	if r.Latency <= 0 {
+		return 0 // the nominal Interval()
 	}
-
-	// Phase 1 (lines 16–30): predict, log the potential tuning event
-	// (a flip of the prediction's requested level), and execute it only
-	// when not in a high-frequency state.
-	trend := predictTrendRing(m.memHist, m.cfg.DerivLen, m.cfg.IncThresholdGBs, m.cfg.DecThresholdGBs)
-	if trend != TrendFlat {
-		if trend != m.lastTrend {
-			m.pushTune(1)
-			m.stats.TuneEvents++
-			if hi {
-				m.stats.Overrides++
-			}
-		} else {
-			m.pushTune(0)
-		}
-		m.lastTrend = trend
-		if !hi {
-			level := m.env.UncoreMaxGHz
-			if trend == TrendDown {
-				level = m.env.UncoreMinGHz
-			}
-			acted = m.setUncore(level) || acted
-		}
-	} else {
-		m.pushTune(0)
-	}
-
-	reason := ReasonFlatHold
-	switch {
-	case hi:
-		reason = ReasonHighFreqPin
-	case trend == TrendUp:
-		reason = ReasonTrendUp
-	case trend == TrendDown:
-		reason = ReasonTrendDown
-	}
-	m.emit(Decision{
-		At: now, ThroughputGBs: thr, Trend: trend, HighFreq: hi,
-		TargetGHz: m.targetGHz, Acted: acted,
-		PrevGHz: prevGHz, DerivGBs: deriv, RingFill: m.memHist.Len(), Reason: reason,
-	})
-	return m.delay(r.Latency)
+	return m.Interval() + r.Latency
 }
 
-// missedSample is the fail-safe arm of Algorithm 3: the cycle produced
-// no usable throughput sample. While merely degraded, hold the last
-// uncore decision and skip the derivative update — one dropped sample
-// must not feed garbage into the trend window. Once the sensor is lost
-// (or the runtime is still blind in warm-up, with no decision to hold),
-// degrade to vendor-default behaviour: pin the uncore at max so
-// performance is never sacrificed to a blind policy.
-func (m *MAGUS) missedSample(now time.Duration, r resilient.Reading) time.Duration {
-	inWarmup := m.warmupLeft > 0
-	prevGHz := m.targetGHz
-	acted := false
-	reason := ReasonHoldDegraded
-	if inWarmup || r.Health == resilient.Lost {
-		acted = m.setUncore(m.env.UncoreMaxGHz)
-		reason = ReasonPinLost
-		if inWarmup {
-			reason = ReasonPinWarmupBlind
-		}
-	}
-	m.emit(Decision{
-		At: now, Warmup: inWarmup, TargetGHz: m.targetGHz, Acted: acted,
-		Missed: true, SensorHealth: r.Health,
-		PrevGHz: prevGHz, RingFill: m.memHist.Len(), Reason: reason,
-	})
-	if inWarmup {
-		return m.cfg.Interval + r.Latency
-	}
-	return m.delay(r.Latency)
-}
-
-// restartWarmup re-enters the warm-up monitoring phase with clean
-// history, as on Attach.
-func (m *MAGUS) restartWarmup() {
-	m.warmupLeft = m.cfg.WarmupCycles
-	m.memHist.Reset()
-	m.tuneLog.Fill(0)
-	m.tuneCount = 0
-	m.lastTrend = TrendFlat
-	m.highFreq = false
-}
-
-// deriv1 returns the one-interval first derivative of the throughput
-// history (the span Algorithm 1 reacts to first), 0 with < 2 samples.
-func (m *MAGUS) deriv1() float64 {
-	n := m.memHist.Len() - 1
-	if n < 1 {
-		return 0
-	}
-	return m.memHist.At(n) - m.memHist.At(n-1)
-}
-
-// pushTune records one cycle's tune-event bit and keeps the rolling
-// non-zero count in sync with what enters and leaves the log.
-func (m *MAGUS) pushTune(v int) {
-	evicted, wasFull := m.tuneLog.Push(v)
-	if wasFull && evicted != 0 {
-		m.tuneCount--
-	}
-	if v != 0 {
-		m.tuneCount++
-	}
-}
-
-// delay converts a cycle's extra sensor latency into the absolute delay
-// until the next invocation (0 = the nominal Interval()).
-func (m *MAGUS) delay(extra time.Duration) time.Duration {
-	if extra <= 0 {
-		return 0
-	}
-	return m.Interval() + extra
-}
-
-// setUncore writes the limit if it differs from the current target and
-// reports whether a write happened.
-func (m *MAGUS) setUncore(ghz float64) bool {
-	if ghz == m.targetGHz {
-		return false
-	}
+// writeUncore applies an uncore limit on every socket and counts the
+// MSR writes; a failed write leaves the automaton's target unchanged.
+func (m *MAGUS) writeUncore(ghz float64) bool {
 	if err := m.env.SetUncoreMax(ghz); err != nil {
 		return false
 	}
-	m.targetGHz = ghz
 	m.stats.MSRWrites += uint64(m.env.Sockets)
 	return true
 }
@@ -635,7 +467,3 @@ func (m *MAGUS) emit(d Decision) {
 		fn(d)
 	}
 }
-
-// HighFreqActive reports whether the last cycle classified the workload
-// as high-frequency.
-func (m *MAGUS) HighFreqActive() bool { return m.highFreq }

@@ -282,7 +282,7 @@ func TestMAGUSHighFrequencyPinsMax(t *testing.T) {
 	runCycles(te, m, &now, 100, 100) // warm-up
 	// Violent alternation: the prediction flips nearly every cycle.
 	runCycles(te, m, &now, 300, 20, 300, 20, 300, 20, 300, 20, 300)
-	if !m.HighFreqActive() {
+	if !m.highFreq {
 		t.Fatal("high-frequency state not detected under alternation")
 	}
 	if got := te.limitGHz(); got != 2.2 {
@@ -304,7 +304,7 @@ func TestMAGUSHighFrequencyPinsMax(t *testing.T) {
 	for i := 0; i < 14; i++ {
 		runCycles(te, m, &now, 100)
 	}
-	if m.HighFreqActive() {
+	if m.highFreq {
 		t.Fatal("high-frequency state stuck after calm")
 	}
 }

@@ -13,16 +13,13 @@
 // same MSR writes, same overhead charges — so the planner may fork it
 // from a checkpoint taken just before the divergent cycle. Whenever
 // the base replay itself fails validation (for example because an
-// injected MSR-write fault made setUncore fail, which a pure replay
+// injected MSR-write fault made an uncore write fail, which a replay
 // cannot model), the planner forks conservatively at that cycle: the
 // replay decides only *where* live execution starts, never what any
 // run computes, so a modelling gap costs wall-clock, not correctness.
 package core
 
-import (
-	"github.com/spear-repro/magus/internal/resilient"
-	"github.com/spear-repro/magus/internal/ring"
-)
+import "github.com/spear-repro/magus/internal/resilient"
 
 // ReplayInput is one decision cycle's sensor-layer outcome, the only
 // external information the MDFS automaton consumes. It is identical
@@ -42,24 +39,12 @@ type ReplayInput struct {
 	Recovered bool
 }
 
-// Replay is the pure MDFS automaton: MAGUS's per-cycle state and
-// transition function with the environment (sensor, MSR device,
-// overhead charging) stripped away. Cycle mirrors MAGUS.Invoke
-// branch for branch; TestReplayMatchesMAGUS pins the two equal over
+// Replay is the runtime's MDFS automaton with the environment
+// (sensor, MSR device, overhead charging, counters) stripped away:
+// Cycle runs the same transition as MAGUS.Invoke with every uncore
+// write succeeding. TestReplayMatchesMAGUS pins the two equal over
 // randomized configurations, workloads and fault schedules.
-type Replay struct {
-	cfg            Config
-	minGHz, maxGHz float64
-
-	memHist   *ring.Buffer[float64]
-	tuneLog   *ring.Buffer[int]
-	tuneCount int
-
-	warmupLeft int
-	highFreq   bool
-	targetGHz  float64
-	lastTrend  Trend
-}
+type Replay struct{ mdfs }
 
 // NewReplay builds a replay automaton for cfg on an uncore range, in
 // the same initial state Attach leaves the real runtime in.
@@ -67,113 +52,22 @@ func NewReplay(cfg Config, minGHz, maxGHz float64) *Replay {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	r := &Replay{
-		cfg:        cfg,
-		minGHz:     minGHz,
-		maxGHz:     maxGHz,
-		memHist:    ring.New[float64](cfg.Window),
-		tuneLog:    ring.Filled(cfg.Window, 0),
-		warmupLeft: cfg.WarmupCycles,
-		targetGHz:  minGHz,
-	}
-	if cfg.WarmupAtMax {
-		r.targetGHz = maxGHz
-	}
+	r := &Replay{mdfs{cfg: cfg}}
+	r.reset(minGHz, maxGHz)
 	return r
 }
 
 // Cycle advances the automaton by one decision cycle and returns the
 // decision it implies. Decision.At and Decision.SensorHealth are left
 // zero: the replay has no clock and no sensor; compare against real
-// decisions with SameOutcome, which ignores both.
+// decisions with SameOutcome, which ignores both. A replay has no MSR
+// device, so every write succeeds: an injected MSR fault in the real
+// run makes the recorded decision disagree here, which the planner's
+// per-cycle validation turns into a conservative fork — never a wrong
+// result.
 func (r *Replay) Cycle(in ReplayInput) Decision {
-	if in.Missed {
-		inWarmup := r.warmupLeft > 0
-		prevGHz := r.targetGHz
-		acted := false
-		reason := ReasonHoldDegraded
-		if inWarmup || in.Lost {
-			acted = r.setUncore(r.maxGHz)
-			reason = ReasonPinLost
-			if inWarmup {
-				reason = ReasonPinWarmupBlind
-			}
-		}
-		return Decision{
-			Warmup: inWarmup, TargetGHz: r.targetGHz, Acted: acted, Missed: true,
-			PrevGHz: prevGHz, RingFill: r.memHist.Len(), Reason: reason,
-		}
-	}
-	if in.Recovered {
-		r.warmupLeft = r.cfg.WarmupCycles
-		r.memHist.Reset()
-		r.tuneLog.Fill(0)
-		r.tuneCount = 0
-		r.lastTrend = TrendFlat
-		r.highFreq = false
-	}
-
-	thr := in.ThroughputGBs
-	prevGHz := r.targetGHz
-	r.memHist.Push(thr)
-	deriv := r.deriv1()
-
-	if r.warmupLeft > 0 {
-		r.warmupLeft--
-		r.pushTune(0)
-		reason := ReasonWarmup
-		if r.warmupLeft == 0 {
-			r.setUncore(r.maxGHz)
-			r.lastTrend = TrendUp
-			reason = ReasonWarmupExit
-		}
-		return Decision{
-			ThroughputGBs: thr, Warmup: true, TargetGHz: r.targetGHz,
-			PrevGHz: prevGHz, DerivGBs: deriv, RingFill: r.memHist.Len(), Reason: reason,
-		}
-	}
-
-	hi := !r.cfg.DisableHighFreq &&
-		float64(r.tuneCount)/float64(r.tuneLog.Len()) >= r.cfg.HighFreqThreshold
-	r.highFreq = hi
-	acted := false
-	if hi {
-		acted = r.setUncore(r.maxGHz)
-	}
-
-	trend := predictTrendRing(r.memHist, r.cfg.DerivLen, r.cfg.IncThresholdGBs, r.cfg.DecThresholdGBs)
-	if trend != TrendFlat {
-		if trend != r.lastTrend {
-			r.pushTune(1)
-		} else {
-			r.pushTune(0)
-		}
-		r.lastTrend = trend
-		if !hi {
-			level := r.maxGHz
-			if trend == TrendDown {
-				level = r.minGHz
-			}
-			acted = r.setUncore(level) || acted
-		}
-	} else {
-		r.pushTune(0)
-	}
-
-	reason := ReasonFlatHold
-	switch {
-	case hi:
-		reason = ReasonHighFreqPin
-	case trend == TrendUp:
-		reason = ReasonTrendUp
-	case trend == TrendDown:
-		reason = ReasonTrendDown
-	}
-	return Decision{
-		ThroughputGBs: thr, Trend: trend, HighFreq: hi,
-		TargetGHz: r.targetGHz, Acted: acted,
-		PrevGHz: prevGHz, DerivGBs: deriv, RingFill: r.memHist.Len(), Reason: reason,
-	}
+	d, _ := r.step(in, nil)
+	return d
 }
 
 // WarmupLeft returns the remaining warm-up cycles (input inference).
@@ -181,9 +75,6 @@ func (r *Replay) WarmupLeft() int { return r.warmupLeft }
 
 // HistLen returns the trend window's current fill (input inference).
 func (r *Replay) HistLen() int { return r.memHist.Len() }
-
-// TargetGHz returns the uncore limit the automaton currently holds.
-func (r *Replay) TargetGHz() float64 { return r.targetGHz }
 
 // StateEqual reports whether two replays are in exactly the same
 // automaton state: same history, tune log, warm-up position, trend
@@ -206,37 +97,6 @@ func (r *Replay) StateEqual(o *Replay) bool {
 			return false
 		}
 	}
-	return true
-}
-
-func (r *Replay) deriv1() float64 {
-	n := r.memHist.Len() - 1
-	if n < 1 {
-		return 0
-	}
-	return r.memHist.At(n) - r.memHist.At(n-1)
-}
-
-func (r *Replay) pushTune(v int) {
-	evicted, wasFull := r.tuneLog.Push(v)
-	if wasFull && evicted != 0 {
-		r.tuneCount--
-	}
-	if v != 0 {
-		r.tuneCount++
-	}
-}
-
-// setUncore mirrors the real transition optimistically: a replay has
-// no MSR device, so it assumes the write succeeds. An injected MSR
-// fault in the real run makes the recorded decision disagree here,
-// which the planner's per-cycle validation turns into a conservative
-// fork — never a wrong result.
-func (r *Replay) setUncore(ghz float64) bool {
-	if ghz == r.targetGHz {
-		return false
-	}
-	r.targetGHz = ghz
 	return true
 }
 

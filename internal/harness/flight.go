@@ -25,9 +25,9 @@ import (
 // transitions; decisions arrive through the governor's OnDecision
 // hook. It implements sim.Component.
 type flightObserver struct {
-	ring *flight.Ring
-	fset *faults.Set
-	hr   healthReporter
+	ring   *flight.Ring
+	fset   *faults.Set
+	health func() resilient.Health
 
 	lastHealth resilient.Health
 	haveTally  bool
@@ -39,16 +39,10 @@ type flightObserver struct {
 // OnDecision hook (hooks append, so the metrics observer and the
 // flight recorder coexist).
 func installFlight(ring *flight.Ring, fset *faults.Set, gov governor.Governor) *flightObserver {
-	fo := &flightObserver{ring: ring, fset: fset}
-	if hr, ok := gov.(healthReporter); ok {
-		fo.hr = hr
-	}
-	hookTarget := gov
-	if pc, ok := gov.(*governor.PowerCapped); ok {
-		hookTarget = pc.Inner()
-	}
-	if src, ok := hookTarget.(interface{ OnDecision(func(core.Decision)) }); ok {
-		src.OnDecision(fo.onDecision)
+	p := Probe(gov)
+	fo := &flightObserver{ring: ring, fset: fset, health: p.Health}
+	if p.OnDecision != nil {
+		p.OnDecision(fo.onDecision)
 	}
 	return fo
 }
@@ -80,8 +74,8 @@ func (fo *flightObserver) onDecision(d core.Decision) {
 // (A=from, B=to) and fault-tally changes (A=total injected) as they
 // happen.
 func (fo *flightObserver) Step(now, dt time.Duration) {
-	if fo.hr != nil {
-		if h := fo.hr.SensorHealth(); h != fo.lastHealth {
+	if fo.health != nil {
+		if h := fo.health(); h != fo.lastHealth {
 			fo.ring.Record(now.Seconds(), flight.KindHealth, h.String(),
 				float64(fo.lastHealth), float64(h), 0)
 			fo.lastHealth = h

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"github.com/spear-repro/magus/internal/core"
 	"github.com/spear-repro/magus/internal/faults"
 	"github.com/spear-repro/magus/internal/flight"
+	"github.com/spear-repro/magus/internal/governor"
 	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/workload"
 )
@@ -16,14 +18,20 @@ import (
 // running bfs, pcm-loss faults armed) with the given ring.
 func flightRun(t *testing.T, ring *flight.Ring) Result {
 	t.Helper()
+	return flightRunGov(t, core.New(core.DefaultConfig()), Options{Flight: ring})
+}
+
+// flightRunGov runs the fixed scenario under gov with opt's observers.
+func flightRunGov(t *testing.T, gov governor.Governor, opt Options) Result {
+	t.Helper()
 	cfg := node.IntelA100()
 	prog, _ := workload.ByName("bfs")
 	plan, ok := faults.Preset("pcm-loss")
 	if !ok {
 		t.Fatal("pcm-loss preset missing")
 	}
-	res, err := Run(cfg, prog, core.New(core.DefaultConfig()),
-		Options{Seed: 1, Faults: plan, Flight: ring})
+	opt.Seed, opt.Faults = 1, plan
+	res, err := Run(cfg, prog, gov, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,5 +103,33 @@ func TestFlightDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(da.Bytes(), db.Bytes()) {
 		t.Fatal("armed runs are not deterministic")
+	}
+}
+
+// TestFlightSeesThroughPowerCap: a power cap is transparent to the
+// observers, so a capped run records the same sensor-health transitions
+// as an uncapped one and traces the sensor_health series.
+func TestFlightSeesThroughPowerCap(t *testing.T) {
+	healthRecords := func(gov governor.Governor) (int, Result) {
+		ring := flight.NewRing(4096)
+		res := flightRunGov(t, gov, Options{Flight: ring, TraceInterval: 200 * time.Millisecond})
+		n := 0
+		for _, r := range ring.Snapshot() {
+			if r.Kind == flight.KindHealth {
+				n++
+			}
+		}
+		return n, res
+	}
+	want, _ := healthRecords(core.New(core.DefaultConfig()))
+	got, res := healthRecords(governor.WithPowerCap(core.New(core.DefaultConfig()), 150))
+	if want == 0 {
+		t.Fatal("uncapped run recorded no health transitions (pcm-loss must degrade the sensor)")
+	}
+	if got != want {
+		t.Fatalf("capped run recorded %d health transitions, uncapped %d", got, want)
+	}
+	if s := res.Traces.Series("sensor_health"); s == nil || s.Max() == 0 {
+		t.Fatal("capped run traced no sensor_health series")
 	}
 }

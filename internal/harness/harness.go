@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/spear-repro/magus/internal/attrib"
+	"github.com/spear-repro/magus/internal/core"
 	"github.com/spear-repro/magus/internal/faults"
 	"github.com/spear-repro/magus/internal/flight"
 	"github.com/spear-repro/magus/internal/governor"
@@ -128,10 +129,39 @@ func Run(cfg node.Config, prog *workload.Program, gov governor.Governor, opt Opt
 	return st.finish(), nil
 }
 
-// healthReporter is the optional sensor-health surface governors expose
-// (MAGUS, UPS and DUF all implement it).
-type healthReporter interface {
-	SensorHealth() resilient.Health
+// GovProbe is what observers may read from a governor: the governor
+// under any power cap, and its optional surfaces. A nil func means the
+// governor does not expose that surface.
+type GovProbe struct {
+	// Gov is the governor with a power cap unwrapped (a cap is
+	// transparent to observers).
+	Gov governor.Governor
+	// OnDecision subscribes to the per-cycle decision stream (MAGUS).
+	OnDecision func(func(core.Decision))
+	// Stats reads the MDFS runtime counters (MAGUS and PerSocket).
+	Stats func() core.Stats
+	// Health reads the sensor state (MAGUS, UPS and DUF).
+	Health func() resilient.Health
+}
+
+// Probe sees through a power cap and collects gov's optional surfaces.
+// Every observer wiring reads governors through it, so a capped run is
+// observed exactly like an uncapped one.
+func Probe(gov governor.Governor) GovProbe {
+	if pc, ok := gov.(*governor.PowerCapped); ok {
+		gov = pc.Inner()
+	}
+	p := GovProbe{Gov: gov}
+	if g, ok := gov.(interface{ OnDecision(func(core.Decision)) }); ok {
+		p.OnDecision = g.OnDecision
+	}
+	if g, ok := gov.(interface{ Stats() core.Stats }); ok {
+		p.Stats = g.Stats
+	}
+	if g, ok := gov.(interface{ SensorHealth() resilient.Health }); ok {
+		p.Health = g.SensorHealth
+	}
+	return p
 }
 
 // BuildEnv wires a governor environment onto a node: the node's MSR

@@ -31,14 +31,10 @@ type govCounters struct {
 // pollerFor maps a governor to a counter snapshot function; nil when
 // the governor exposes no counters (static pins, vendor default).
 func pollerFor(gov governor.Governor) func() govCounters {
-	if pc, ok := gov.(*governor.PowerCapped); ok {
-		gov = pc.Inner()
-	}
-	switch g := gov.(type) {
-	case interface{ Stats() core.Stats }: // MAGUS and PerSocket
-		hr, _ := gov.(healthReporter)
+	p := Probe(gov)
+	if p.Stats != nil { // MAGUS and PerSocket
 		return func() govCounters {
-			s := g.Stats()
+			s := p.Stats()
 			c := govCounters{
 				invocations:    s.Invocations,
 				tuneEvents:     s.TuneEvents,
@@ -55,11 +51,13 @@ func pollerFor(gov governor.Governor) func() govCounters {
 				recoveries:     s.Recoveries,
 				watchdog:       s.WatchdogOverruns,
 			}
-			if hr != nil {
-				c.health = hr.SensorHealth()
+			if p.Health != nil {
+				c.health = p.Health()
 			}
 			return c
 		}
+	}
+	switch g := p.Gov.(type) {
 	case *governor.UPS:
 		return func() govCounters {
 			inv, reads, writes, resets := g.Stats()
@@ -462,13 +460,9 @@ func installObservability(o *obs.Observer, n *node.Node, fset *faults.Set, gov g
 
 	ro := newRunObserver(o, n, fset, gov, interval)
 
-	hookTarget := gov
-	if pc, ok := gov.(*governor.PowerCapped); ok {
-		hookTarget = pc.Inner()
-	}
-	if src, ok := hookTarget.(interface{ OnDecision(func(core.Decision)) }); ok {
+	if p := Probe(gov); p.OnDecision != nil {
 		ro.do = newDecisionObserver(o)
-		src.OnDecision(ro.do.observe)
+		p.OnDecision(ro.do.observe)
 	}
 
 	if !resuming {

@@ -105,12 +105,8 @@ func installSpans(tr *spans.Tracer, n *node.Node, src demandSource, wname string
 		Governor: gov.Name(), Seed: opt.Seed,
 	})
 
-	hookTarget := gov
-	if pc, ok := gov.(*governor.PowerCapped); ok {
-		hookTarget = pc.Inner()
-	}
-	if src, ok := hookTarget.(interface{ OnDecision(func(core.Decision)) }); ok {
-		src.OnDecision(func(d core.Decision) {
+	if p := Probe(gov); p.OnDecision != nil {
+		p.OnDecision(func(d core.Decision) {
 			tr.Decision(d.At, spans.DecisionAttrs{
 				ThroughputGBs: d.ThroughputGBs,
 				DerivGBs:      d.DerivGBs,

@@ -167,8 +167,8 @@ func newSteppable(cfg node.Config, prog *workload.Program, gov governor.Governor
 		if fset != nil {
 			rec.Track("faults_injected", func() float64 { return float64(fset.Tally().Total()) })
 		}
-		if hr, ok := gov.(healthReporter); ok {
-			rec.Track("sensor_health", func() float64 { return float64(hr.SensorHealth()) })
+		if health := Probe(gov).Health; health != nil {
+			rec.Track("sensor_health", func() float64 { return float64(health()) })
 		}
 		eng.AddComponent(rec)
 	}

@@ -69,22 +69,6 @@ func (b *Buffer[T]) At(i int) T {
 	return b.data[(b.head+i)%len(b.data)]
 }
 
-// Oldest returns the first element in FIFO order; ok is false when empty.
-func (b *Buffer[T]) Oldest() (v T, ok bool) {
-	if b.count == 0 {
-		return v, false
-	}
-	return b.At(0), true
-}
-
-// Newest returns the last element pushed; ok is false when empty.
-func (b *Buffer[T]) Newest() (v T, ok bool) {
-	if b.count == 0 {
-		return v, false
-	}
-	return b.At(b.count - 1), true
-}
-
 // Fill resets the buffer to full capacity with every slot set to v,
 // without allocating — the in-place equivalent of building a new
 // Filled buffer (MAGUS re-initialises uncore_tune_ls this way when it

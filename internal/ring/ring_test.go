@@ -34,25 +34,6 @@ func TestPushAndOrder(t *testing.T) {
 	}
 }
 
-func TestOldestNewest(t *testing.T) {
-	b := New[string](2)
-	if _, ok := b.Oldest(); ok {
-		t.Fatal("Oldest on empty buffer reported ok")
-	}
-	if _, ok := b.Newest(); ok {
-		t.Fatal("Newest on empty buffer reported ok")
-	}
-	b.Push("a")
-	b.Push("b")
-	b.Push("c")
-	if v, _ := b.Oldest(); v != "b" {
-		t.Fatalf("Oldest = %q, want b", v)
-	}
-	if v, _ := b.Newest(); v != "c" {
-		t.Fatalf("Newest = %q, want c", v)
-	}
-}
-
 func TestFilled(t *testing.T) {
 	b := Filled(10, 0)
 	if !b.Full() || b.Len() != 10 {
@@ -64,11 +45,11 @@ func TestFilled(t *testing.T) {
 		}
 	})
 	b.Push(1)
-	if v, _ := b.Newest(); v != 1 {
-		t.Fatalf("Newest after push = %d, want 1", v)
+	if v := b.At(b.Len() - 1); v != 1 {
+		t.Fatalf("newest after push = %d, want 1", v)
 	}
-	if v, _ := b.Oldest(); v != 0 {
-		t.Fatalf("Oldest after push = %d, want 0", v)
+	if v := b.At(0); v != 0 {
+		t.Fatalf("oldest after push = %d, want 0", v)
 	}
 }
 
@@ -81,8 +62,8 @@ func TestReset(t *testing.T) {
 		t.Fatalf("Len after Reset = %d", b.Len())
 	}
 	b.Push(9)
-	if v, _ := b.Oldest(); v != 9 {
-		t.Fatalf("Oldest after reuse = %d, want 9", v)
+	if v := b.At(0); v != 9 {
+		t.Fatalf("oldest after reuse = %d, want 9", v)
 	}
 }
 
@@ -158,7 +139,7 @@ func TestEvictionProperty(t *testing.T) {
 			wasFull := b.Full()
 			var wantEvict int32
 			if wasFull {
-				wantEvict, _ = b.Oldest()
+				wantEvict = b.At(0)
 			}
 			ev, full := b.Push(v)
 			if full != wasFull {

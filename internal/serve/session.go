@@ -154,11 +154,6 @@ func buildGovernor(name string, cfg node.Config) (governor.Governor, error) {
 	return nil, fmt.Errorf("%w: unknown governor %q", ErrBadSpec, name)
 }
 
-// sensorHealthReporter is the optional health surface governors expose.
-type sensorHealthReporter interface {
-	SensorHealth() resilient.Health
-}
-
 // sessionState is the session lifecycle (orthogonal to sensor health).
 type sessionState int32
 
@@ -313,20 +308,12 @@ func newSession(id string, spec Spec, now time.Time, svc Config) (*Session, erro
 		}
 	}
 
-	// Hooks observe the unwrapped governor (a power cap is transparent).
-	hookTarget := gov
-	if pc, okPC := gov.(*governor.PowerCapped); okPC {
-		hookTarget = pc.Inner()
-	}
-	if sg, okStats := hookTarget.(interface{ Stats() core.Stats }); okStats {
-		s.stats = sg.Stats
-	}
-	if hr, okHealth := hookTarget.(sensorHealthReporter); okHealth {
-		s.sensor = hr.SensorHealth
-	}
-	if src, okDec := hookTarget.(interface{ OnDecision(func(core.Decision)) }); okDec {
+	// Hooks observe the governor through any power cap.
+	probe := harness.Probe(gov)
+	s.stats, s.sensor = probe.Stats, probe.Health
+	if probe.OnDecision != nil {
 		// The hook fires inside Advance, which only runs under s.mu.
-		src.OnDecision(func(d core.Decision) {
+		probe.OnDecision(func(d core.Decision) {
 			if len(s.pending) >= maxPendingDecisions {
 				copy(s.pending, s.pending[1:])
 				s.pending = s.pending[:maxPendingDecisions-1]

@@ -204,11 +204,6 @@ func ParetoFront(pts []Point) []Point {
 	return front
 }
 
-// Dominates reports whether p dominates q in two-objective minimisation.
-func Dominates(p, q Point) bool {
-	return p.X <= q.X && p.Y <= q.Y && (p.X < q.X || p.Y < q.Y)
-}
-
 // DistanceToFront returns the minimum Euclidean distance from p to any
 // point of front, after normalising both axes by the provided scales.
 // The paper uses "on or close to the Pareto frontier" as its criterion

@@ -144,6 +144,11 @@ func TestParetoFront(t *testing.T) {
 	}
 }
 
+// dominates reports whether p dominates q in two-objective minimisation.
+func dominates(p, q Point) bool {
+	return p.X <= q.X && p.Y <= q.Y && (p.X < q.X || p.Y < q.Y)
+}
+
 // Property: no front member dominates another front member, and every
 // excluded point is dominated by some front member.
 func TestParetoFrontProperties(t *testing.T) {
@@ -155,7 +160,7 @@ func TestParetoFrontProperties(t *testing.T) {
 		front := ParetoFront(pts)
 		for i, p := range front {
 			for j, q := range front {
-				if i != j && Dominates(p, q) {
+				if i != j && dominates(p, q) {
 					return false
 				}
 			}
@@ -174,7 +179,7 @@ func TestParetoFrontProperties(t *testing.T) {
 			}
 			dominated := false
 			for _, q := range front {
-				if Dominates(q, p) {
+				if dominates(q, p) {
 					dominated = true
 					break
 				}

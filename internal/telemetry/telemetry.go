@@ -7,7 +7,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -65,15 +64,6 @@ func (s *Series) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Integrate returns the step-held integral ∫v dt in value·seconds.
-func (s *Series) Integrate() float64 {
-	var acc float64
-	for i := 0; i+1 < len(s.Times); i++ {
-		acc += s.Values[i] * (s.Times[i+1] - s.Times[i])
-	}
-	return acc
 }
 
 // Resample averages the series into bins equal-width bins spanning the
@@ -228,12 +218,4 @@ func BurstJaccard(baseline, other *Series, bins int, thresholdFrac float64) floa
 		return 1
 	}
 	return float64(inter) / float64(union)
-}
-
-// SortedNames returns the recorder's probe names sorted, for stable
-// output in reports.
-func (r *Recorder) SortedNames() []string {
-	out := r.Names()
-	sort.Strings(out)
-	return out
 }
