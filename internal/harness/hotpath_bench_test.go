@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/spear-repro/magus/internal/core"
+	"github.com/spear-repro/magus/internal/governor"
 	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/sim"
 	"github.com/spear-repro/magus/internal/workload"
@@ -61,4 +62,52 @@ func BenchmarkHotPathSpansDisabledTick(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng.RunFor(step)
 	}
+}
+
+// benchHotPathInvoke measures one node Step plus one governor Invoke on
+// a warmed Intel+A100 node (80 CPUs) through the node's real MSR
+// device: the cost a per-core counter sweeper pays in the register
+// file. Invocations are charged to the node as daemon work only in a
+// real run; here the governor fires every step, so charging would grow
+// the daemon queue without bound and is left unwired.
+func benchHotPathInvoke(b *testing.B, gov governor.Governor) {
+	n := node.New(node.IntelA100())
+	n.SetDemand(workload.Demand{
+		MemGBs: 200, CPUBusyCores: 20, MemBoundFrac: 0.6, GPUSMUtil: 0.9, GPUMemUtil: 0.5,
+	})
+	env, _, err := buildEnv(n, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	env.Charge = nil
+	if err := gov.Attach(env); err != nil {
+		b.Fatal(err)
+	}
+	now := time.Duration(0)
+	for i := 0; i < 2000; i++ { // warm past the first sweeps and slews
+		n.Step(now, time.Millisecond)
+		now += time.Millisecond
+		if i%300 == 0 {
+			gov.Invoke(now)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Step(now, time.Millisecond)
+		now += time.Millisecond
+		gov.Invoke(now)
+	}
+}
+
+// BenchmarkHotPathUPSInvoke: UPS reads both fixed counters of all 80
+// CPUs every invocation.
+func BenchmarkHotPathUPSInvoke(b *testing.B) {
+	benchHotPathInvoke(b, governor.NewUPS(governor.DefaultUPSConfig()))
+}
+
+// BenchmarkHotPathDUFInvoke: DUF reads instructions retired on all 80
+// CPUs every invocation.
+func BenchmarkHotPathDUFInvoke(b *testing.B) {
+	benchHotPathInvoke(b, governor.NewDUF(governor.DefaultDUFConfig()))
 }

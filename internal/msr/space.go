@@ -33,16 +33,93 @@ const (
 	CoreScope
 )
 
-// scopeOf maps the modelled registers to their hardware scope.
-func scopeOf(reg uint32) (Scope, bool) {
+// Register banks are fixed slot arrays, not maps: every modelled
+// register has one slot in its scope's bank. Slots are numbered in
+// register-address order, so walking a bank by slot visits registers
+// sorted by address.
+const (
+	slotRaplPowerUnit = iota
+	slotPkgPowerLimit
+	slotPkgEnergyStatus
+	slotPkgPowerInfo
+	slotDramEnergyStatus
+	slotUncoreRatioLimit
+	slotUncorePerfStatus
+	pkgSlots
+)
+
+const (
+	slotMperf = iota
+	slotAperf
+	slotFixedCtrInstRetired
+	slotFixedCtrCPUCycles
+	coreSlots
+)
+
+// pkgSlotRegs and coreSlotRegs name the register held in each slot.
+var (
+	pkgSlotRegs = [pkgSlots]uint32{RaplPowerUnit, PkgPowerLimit, PkgEnergyStatus,
+		PkgPowerInfo, DramEnergyStatus, UncoreRatioLimit, UncorePerfStatus}
+	coreSlotRegs = [coreSlots]uint32{Mperf, Aperf, FixedCtrInstRetired, FixedCtrCPUCycles}
+)
+
+// regSlot maps a modelled register to its hardware scope and its slot
+// in that scope's bank.
+func regSlot(reg uint32) (Scope, int, bool) {
 	switch reg {
-	case UncoreRatioLimit, UncorePerfStatus, RaplPowerUnit,
-		PkgEnergyStatus, PkgPowerLimit, PkgPowerInfo, DramEnergyStatus:
-		return PackageScope, true
-	case FixedCtrInstRetired, FixedCtrCPUCycles, Aperf, Mperf:
-		return CoreScope, true
+	case RaplPowerUnit:
+		return PackageScope, slotRaplPowerUnit, true
+	case PkgPowerLimit:
+		return PackageScope, slotPkgPowerLimit, true
+	case PkgEnergyStatus:
+		return PackageScope, slotPkgEnergyStatus, true
+	case PkgPowerInfo:
+		return PackageScope, slotPkgPowerInfo, true
+	case DramEnergyStatus:
+		return PackageScope, slotDramEnergyStatus, true
+	case UncoreRatioLimit:
+		return PackageScope, slotUncoreRatioLimit, true
+	case UncorePerfStatus:
+		return PackageScope, slotUncorePerfStatus, true
+	case Mperf:
+		return CoreScope, slotMperf, true
+	case Aperf:
+		return CoreScope, slotAperf, true
+	case FixedCtrInstRetired:
+		return CoreScope, slotFixedCtrInstRetired, true
+	case FixedCtrCPUCycles:
+		return CoreScope, slotFixedCtrCPUCycles, true
 	}
-	return 0, false
+	return 0, 0, false
+}
+
+// bank is one register bank: a value per slot and a bit per slot
+// marking it ever set. A register never set reads as zero and is absent
+// from State; one set to zero is present.
+type bank[V [pkgSlots]uint64 | [coreSlots]uint64] struct {
+	val V
+	set uint8 // bit i: slot i has been set
+}
+
+type (
+	pkgBank  = bank[[pkgSlots]uint64]
+	coreBank = bank[[coreSlots]uint64]
+)
+
+// cell is one register's slot inside its bank.
+type cell struct {
+	val *uint64
+	set *uint8
+	bit uint8
+}
+
+func cellOf[V [pkgSlots]uint64 | [coreSlots]uint64](b *bank[V], slot int) cell {
+	return cell{val: &b.val[slot], set: &b.set, bit: 1 << slot}
+}
+
+func (c cell) store(v uint64) {
+	*c.val = v
+	*c.set |= c.bit
 }
 
 // readOnly reports registers that reject writes from software.
@@ -66,8 +143,8 @@ type Space struct {
 	mu          sync.Mutex
 	sockets     int
 	cpusPerSock int
-	pkgRegs     []map[uint32]uint64 // per socket
-	coreRegs    []map[uint32]uint64 // per cpu
+	pkgRegs     []pkgBank  // per socket
+	coreRegs    []coreBank // per cpu
 
 	reads, writes uint64 // access counters for overhead accounting
 
@@ -96,16 +173,12 @@ func NewSpace(sockets, cpusPerSocket int) *Space {
 	s := &Space{
 		sockets:     sockets,
 		cpusPerSock: cpusPerSocket,
-		pkgRegs:     make([]map[uint32]uint64, sockets),
-		coreRegs:    make([]map[uint32]uint64, sockets*cpusPerSocket),
+		pkgRegs:     make([]pkgBank, sockets),
+		coreRegs:    make([]coreBank, sockets*cpusPerSocket),
 	}
 	for i := range s.pkgRegs {
-		s.pkgRegs[i] = map[uint32]uint64{
-			RaplPowerUnit: EncodePowerUnit(DefaultPowerUnitExp, DefaultEnergyUnitExp, DefaultTimeUnitExp),
-		}
-	}
-	for i := range s.coreRegs {
-		s.coreRegs[i] = make(map[uint32]uint64)
+		cellOf(&s.pkgRegs[i], slotRaplPowerUnit).store(
+			EncodePowerUnit(DefaultPowerUnitExp, DefaultEnergyUnitExp, DefaultTimeUnitExp))
 	}
 	return s
 }
@@ -130,12 +203,12 @@ func (s *Space) Read(cpu int, reg uint32) (uint64, error) {
 	if s.failRead != nil {
 		return 0, s.failRead
 	}
-	bank, err := s.bank(cpu, reg)
+	c, err := s.cell(cpu, reg)
 	if err != nil {
 		return 0, err
 	}
 	s.reads++
-	return bank[reg], nil
+	return *c.val, nil
 }
 
 // Write implements Device. Writes to read-only registers fail, as on
@@ -149,12 +222,12 @@ func (s *Space) Write(cpu int, reg uint32, val uint64) error {
 	if readOnly(reg) {
 		return fmt.Errorf("%w: %#x", ErrReadOnly, reg)
 	}
-	bank, err := s.bank(cpu, reg)
+	c, err := s.cell(cpu, reg)
 	if err != nil {
 		return err
 	}
 	s.writes++
-	bank[reg] = val
+	c.store(val)
 	if limitReg(reg) {
 		s.limGen.Add(1)
 	}
@@ -166,11 +239,11 @@ func (s *Space) Write(cpu int, reg uint32, val uint64) error {
 func (s *Space) Poke(cpu int, reg uint32, val uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bank, err := s.bank(cpu, reg)
+	c, err := s.cell(cpu, reg)
 	if err != nil {
 		panic(fmt.Sprintf("msr: Poke(%d, %#x): %v", cpu, reg, err))
 	}
-	bank[reg] = val
+	c.store(val)
 	if limitReg(reg) {
 		s.limGen.Add(1)
 	}
@@ -186,11 +259,11 @@ func (s *Space) LimitGen() uint64 { return s.limGen.Load() }
 func (s *Space) Peek(cpu int, reg uint32) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bank, err := s.bank(cpu, reg)
+	c, err := s.cell(cpu, reg)
 	if err != nil {
 		panic(fmt.Sprintf("msr: Peek(%d, %#x): %v", cpu, reg, err))
 	}
-	return bank[reg]
+	return *c.val
 }
 
 // Bump adds delta to a counter register (hardware side), wrapping
@@ -198,15 +271,15 @@ func (s *Space) Peek(cpu int, reg uint32) uint64 {
 func (s *Space) Bump(cpu int, reg uint32, delta uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bank, err := s.bank(cpu, reg)
+	c, err := s.cell(cpu, reg)
 	if err != nil {
 		panic(fmt.Sprintf("msr: Bump(%d, %#x): %v", cpu, reg, err))
 	}
-	v := bank[reg] + delta
+	v := *c.val + delta
 	if reg == PkgEnergyStatus || reg == DramEnergyStatus {
 		v &= EnergyCounterMask
 	}
-	bank[reg] = v
+	c.store(v)
 }
 
 // BumpEnergy adds deltas to both RAPL energy-status counters of cpu's
@@ -220,15 +293,17 @@ func (s *Space) BumpEnergy(cpu int, pkgDelta, dramDelta uint64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bank, err := s.bank(cpu, PkgEnergyStatus)
-	if err != nil {
-		panic(fmt.Sprintf("msr: BumpEnergy(%d): %v", cpu, err))
+	if cpu < 0 || cpu >= s.CPUs() {
+		panic(fmt.Sprintf("msr: BumpEnergy(%d): %v", cpu, ErrBadCPU))
 	}
+	b := &s.pkgRegs[s.SocketOf(cpu)]
 	if pkgDelta != 0 {
-		bank[PkgEnergyStatus] = (bank[PkgEnergyStatus] + pkgDelta) & EnergyCounterMask
+		c := cellOf(b, slotPkgEnergyStatus)
+		c.store((*c.val + pkgDelta) & EnergyCounterMask)
 	}
 	if dramDelta != 0 {
-		bank[DramEnergyStatus] = (bank[DramEnergyStatus] + dramDelta) & EnergyCounterMask
+		c := cellOf(b, slotDramEnergyStatus)
+		c.store((*c.val + dramDelta) & EnergyCounterMask)
 	}
 }
 
@@ -260,17 +335,17 @@ func (s *Space) FailWrites(err error) {
 	s.failWrite = err
 }
 
-// bank resolves the register bank for (cpu, reg). Caller holds mu.
-func (s *Space) bank(cpu int, reg uint32) (map[uint32]uint64, error) {
+// cell resolves the register slot for (cpu, reg). Caller holds mu.
+func (s *Space) cell(cpu int, reg uint32) (cell, error) {
 	if cpu < 0 || cpu >= s.CPUs() {
-		return nil, fmt.Errorf("%w: %d", ErrBadCPU, cpu)
+		return cell{}, fmt.Errorf("%w: %d", ErrBadCPU, cpu)
 	}
-	scope, ok := scopeOf(reg)
+	scope, slot, ok := regSlot(reg)
 	if !ok {
-		return nil, fmt.Errorf("%w: %#x", ErrUnknownReg, reg)
+		return cell{}, fmt.Errorf("%w: %#x", ErrUnknownReg, reg)
 	}
 	if scope == PackageScope {
-		return s.pkgRegs[s.SocketOf(cpu)], nil
+		return cellOf(&s.pkgRegs[s.SocketOf(cpu)], slot), nil
 	}
-	return s.coreRegs[cpu], nil
+	return cellOf(&s.coreRegs[cpu], slot), nil
 }

@@ -2,7 +2,7 @@ package msr
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // RegVal is one register's value inside a bank snapshot.
@@ -11,8 +11,8 @@ type RegVal struct {
 	Val uint64
 }
 
-// BankState is one register bank, sorted by register address so the
-// snapshot is deterministic (the live banks are maps).
+// BankState is one register bank: the registers that were ever set,
+// sorted by register address so the snapshot is deterministic.
 type BankState struct {
 	Regs []RegVal
 }
@@ -28,13 +28,34 @@ type SpaceState struct {
 	LimGen uint64
 }
 
-func bankState(bank map[uint32]uint64) BankState {
-	b := BankState{Regs: make([]RegVal, 0, len(bank))}
-	for reg, val := range bank {
-		b.Regs = append(b.Regs, RegVal{Reg: reg, Val: val})
+// state lists the set slots of b in slot order, which is address order;
+// regs names the register in each slot.
+func (b *bank[V]) state(regs []uint32) BankState {
+	out := BankState{Regs: make([]RegVal, 0, bits.OnesCount8(b.set))}
+	for slot, reg := range regs {
+		if b.set&(1<<slot) != 0 {
+			out.Regs = append(out.Regs, RegVal{Reg: reg, Val: b.val[slot]})
+		}
 	}
-	sort.Slice(b.Regs, func(i, j int) bool { return b.Regs[i].Reg < b.Regs[j].Reg })
-	return b
+	return out
+}
+
+// bankFrom decodes a bank snapshot into b, which must be zero. Every
+// register must have the given scope and appear at most once.
+func bankFrom[V [pkgSlots]uint64 | [coreSlots]uint64](b *bank[V], st BankState, scope Scope) error {
+	for _, rv := range st.Regs {
+		sc, slot, ok := regSlot(rv.Reg)
+		switch {
+		case !ok:
+			return fmt.Errorf("%w: %#x", ErrUnknownReg, rv.Reg)
+		case sc != scope:
+			return fmt.Errorf("msr: register %#x is outside its bank's scope", rv.Reg)
+		case b.set&(1<<slot) != 0:
+			return fmt.Errorf("msr: register %#x appears twice in one bank", rv.Reg)
+		}
+		cellOf(b, slot).store(rv.Val)
+	}
+	return nil
 }
 
 // State captures every register bank plus the access counters and the
@@ -49,17 +70,18 @@ func (s *Space) State() SpaceState {
 		Writes: s.writes,
 		LimGen: s.limGen.Load(),
 	}
-	for i, bank := range s.pkgRegs {
-		st.Pkg[i] = bankState(bank)
+	for i := range s.pkgRegs {
+		st.Pkg[i] = s.pkgRegs[i].state(pkgSlotRegs[:])
 	}
-	for i, bank := range s.coreRegs {
-		st.Core[i] = bankState(bank)
+	for i := range s.coreRegs {
+		st.Core[i] = s.coreRegs[i].state(coreSlotRegs[:])
 	}
 	return st
 }
 
 // Restore overwrites every bank and counter from a snapshot taken on a
-// space with the same topology.
+// space with the same topology. Every bank is validated before any is
+// written: on error the space is unchanged.
 func (s *Space) Restore(st SpaceState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -67,20 +89,19 @@ func (s *Space) Restore(st SpaceState) error {
 		return fmt.Errorf("msr: restore topology %d pkg / %d core banks, space has %d / %d",
 			len(st.Pkg), len(st.Core), len(s.pkgRegs), len(s.coreRegs))
 	}
+	pkg := make([]pkgBank, len(st.Pkg))
 	for i, b := range st.Pkg {
-		bank := make(map[uint32]uint64, len(b.Regs))
-		for _, rv := range b.Regs {
-			bank[rv.Reg] = rv.Val
+		if err := bankFrom(&pkg[i], b, PackageScope); err != nil {
+			return fmt.Errorf("msr: restore package bank %d: %w", i, err)
 		}
-		s.pkgRegs[i] = bank
 	}
+	core := make([]coreBank, len(st.Core))
 	for i, b := range st.Core {
-		bank := make(map[uint32]uint64, len(b.Regs))
-		for _, rv := range b.Regs {
-			bank[rv.Reg] = rv.Val
+		if err := bankFrom(&core[i], b, CoreScope); err != nil {
+			return fmt.Errorf("msr: restore core bank %d: %w", i, err)
 		}
-		s.coreRegs[i] = bank
 	}
+	s.pkgRegs, s.coreRegs = pkg, core
 	s.reads, s.writes = st.Reads, st.Writes
 	s.limGen.Store(st.LimGen)
 	return nil

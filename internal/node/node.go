@@ -87,6 +87,11 @@ type Node struct {
 	powVal [8]float64
 	powLen int
 	powIns int
+
+	// flushed reports that the core accumulators were published into
+	// the register file since the last Step or Restore. Between steps
+	// the accumulators do not change, so one flush serves every read.
+	flushed bool
 }
 
 // New builds a node from cfg with all controllers at their idle points
@@ -150,9 +155,10 @@ func (n *Node) Config() Config { return n.cfg }
 // Space exposes the raw simulated register file (tests, fault injection).
 func (n *Node) Space() *msr.Space { return n.space }
 
-// MSRDevice returns the device handle runtimes should use: it flushes
-// the node's counter accumulators into the register file before reads,
-// so per-core fixed counters and RAPL status registers are current.
+// MSRDevice returns the device handle runtimes should use: a read of a
+// per-core fixed counter first publishes the node's counter
+// accumulators into the register file, once per step, so the counters
+// are current. RAPL status registers are published by every Step.
 func (n *Node) MSRDevice() msr.Device { return nodeDevice{n} }
 
 // SetDemand installs the application demand for the next step.
@@ -297,6 +303,7 @@ func (n *Node) refreshLimits() {
 // Step implements sim.Component.
 func (n *Node) Step(now, dt time.Duration) {
 	dtSec := dt.Seconds()
+	n.flushed = false
 	if g := n.space.LimitGen(); g != n.limGen {
 		n.refreshLimits()
 	}
@@ -549,8 +556,14 @@ func (n *Node) relPowMemo(rel float64) float64 {
 }
 
 // flushCoreCounters publishes the per-core accumulators into the
-// register file (called before runtime reads).
+// register file, at most once per step (called before runtime reads).
+// A software write to a fixed counter therefore reads back until the
+// next step republishes the accumulators.
 func (n *Node) flushCoreCounters() {
+	if n.flushed {
+		return
+	}
+	n.flushed = true
 	for cpu := range n.instAcc {
 		n.space.Poke(cpu, msr.FixedCtrInstRetired, uint64(n.instAcc[cpu]))
 		n.space.Poke(cpu, msr.FixedCtrCPUCycles, uint64(n.cycAcc[cpu]))

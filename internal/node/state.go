@@ -206,5 +206,6 @@ func (n *Node) Restore(st State) error {
 	copy(n.powKey[:], st.PowKey)
 	copy(n.powVal[:], st.PowVal)
 	n.powIns = st.PowIns
+	n.flushed = false
 	return nil
 }
