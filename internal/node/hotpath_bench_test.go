@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -23,6 +24,41 @@ func BenchmarkHotPathNodeStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		n.Step(time.Duration(100+i)*time.Millisecond, time.Millisecond)
+	}
+}
+
+// BenchmarkHotPathNodeStepJittered is BenchmarkHotPathNodeStep under
+// the demand a workload.Runner phase produces: first-order filtered
+// noise (Jitter 0.05) on CPUBusyCores and MemGBs. The fractional core's
+// target and the uncore slew then move every tick, so the power-law
+// memo misses as it does in real runs; under constant demand it always
+// hits after warm-up and the miss path goes unmeasured. The sequence
+// is precomputed so the timed loop holds only the step.
+func BenchmarkHotPathNodeStepJittered(b *testing.B) {
+	const jitter = 0.05
+	base := workload.Demand{
+		MemGBs: 200, CPUBusyCores: 20, MemBoundFrac: 0.6, GPUSMUtil: 0.9, GPUMemUtil: 0.5,
+	}
+	seq := make([]workload.Demand, 4096)
+	rng := rand.New(rand.NewSource(1))
+	var noise float64
+	for i := range seq {
+		noise += 0.1 * (rng.Float64()*2 - 1 - noise)
+		d := base
+		d.CPUBusyCores *= 1 + jitter*noise
+		d.MemGBs *= 1 + jitter*noise*2
+		seq[i] = d
+	}
+	n := New(IntelA100())
+	for i := 0; i < 100; i++ { // steady state before the timer starts
+		n.SetDemand(seq[i%len(seq)])
+		n.Step(time.Duration(i)*time.Millisecond, time.Millisecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.SetDemand(seq[(100+i)%len(seq)])
 		n.Step(time.Duration(100+i)*time.Millisecond, time.Millisecond)
 	}
 }

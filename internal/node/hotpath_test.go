@@ -82,6 +82,18 @@ func TestRelPowMemoMatchesRelPow(t *testing.T) {
 	}
 }
 
+// relPow is the reference the memo is pinned to: the clamped power law
+// evaluated with math.Pow.
+func relPow(rel, exp float64) float64 {
+	if rel <= 0 {
+		return 0
+	}
+	if rel >= 1 {
+		return 1
+	}
+	return math.Pow(rel, exp)
+}
+
 // TestLimitCacheFollowsWrites checks that Step picks up limit-register
 // writes made between ticks: the cached decode must refresh on the MSR
 // space's limit generation, not lag behind it.

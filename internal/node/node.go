@@ -7,6 +7,7 @@ import (
 	"github.com/spear-repro/magus/internal/cpufreq"
 	"github.com/spear-repro/magus/internal/gpudvfs"
 	"github.com/spear-repro/magus/internal/msr"
+	"github.com/spear-repro/magus/internal/power"
 	"github.com/spear-repro/magus/internal/workload"
 )
 
@@ -43,6 +44,8 @@ type Node struct {
 	drmPowerW    []float64
 	pkgEnergyAcc []float64 // fractional RAPL units not yet in the MSR
 	drmEnergyAcc []float64
+	pkgPend      []uint64 // whole RAPL units not yet in the MSR
+	drmPend      []uint64
 
 	// Per-core state.
 	pstates  []*cpufreq.PState
@@ -82,7 +85,9 @@ type Node struct {
 	pl1On  []bool    // PL1 enable bit
 	// relPow memo keyed on the exact bits of its input: cores sharing a
 	// utilisation history share bit-identical frequencies, so a step
-	// computes only a handful of distinct math.Pow values.
+	// computes only a handful of distinct powers. A miss evaluates pow,
+	// the core power law's fixed-exponent kernel.
+	pow    power.FixedPow
 	powKey [8]uint64
 	powVal [8]float64
 	powLen int
@@ -110,6 +115,8 @@ func New(cfg Config) *Node {
 		drmPowerW:    make([]float64, cfg.Sockets),
 		pkgEnergyAcc: make([]float64, cfg.Sockets),
 		drmEnergyAcc: make([]float64, cfg.Sockets),
+		pkgPend:      make([]uint64, cfg.Sockets),
+		drmPend:      make([]uint64, cfg.Sockets),
 		pstates:      make([]*cpufreq.PState, cfg.Sockets*cfg.CoresPerSocket),
 		coreUtil:     make([]float64, cfg.Sockets*cfg.CoresPerSocket),
 		instAcc:      make([]float64, cfg.Sockets*cfg.CoresPerSocket),
@@ -124,6 +131,7 @@ func New(cfg Config) *Node {
 		limMin:       make([]float64, cfg.Sockets),
 		pl1W:         make([]float64, cfg.Sockets),
 		pl1On:        make([]bool, cfg.Sockets),
+		pow:          cfg.Core.FreqPow(),
 	}
 	for s := 0; s < cfg.Sockets; s++ {
 		n.uncoreEff[s] = cfg.UncoreMaxGHz
@@ -152,13 +160,21 @@ func New(cfg Config) *Node {
 // Config returns the node's configuration.
 func (n *Node) Config() Config { return n.cfg }
 
-// Space exposes the raw simulated register file (tests, fault injection).
-func (n *Node) Space() *msr.Space { return n.space }
+// Space exposes the raw simulated register file (tests, fault
+// injection). It first publishes pending RAPL energy units, so the
+// energy status registers are current as of the last Step; the fixed
+// counters are published by reads through MSRDevice.
+func (n *Node) Space() *msr.Space {
+	n.publishEnergy()
+	return n.space
+}
 
 // MSRDevice returns the device handle runtimes should use: a read of a
 // per-core fixed counter first publishes the node's counter
-// accumulators into the register file, once per step, so the counters
-// are current. RAPL status registers are published by every Step.
+// accumulators into the register file, once per step, and a read of a
+// RAPL energy status register first publishes the energy units the
+// steps since the last publish accumulated, so every counter a runtime
+// reads is current.
 func (n *Node) MSRDevice() msr.Device { return nodeDevice{n} }
 
 // SetDemand installs the application demand for the next step.
@@ -504,9 +520,9 @@ func (n *Node) Step(now, dt time.Duration) {
 	}
 }
 
-// accumulateEnergy pushes joules into the socket's wrapping RAPL
-// counters, carrying fractional units between steps. Both counters are
-// published through one batched register-file operation.
+// accumulateEnergy converts joules into whole RAPL units, carrying
+// fractional units between steps, and adds them to the socket's
+// pending units; publishEnergy moves those into the wrapping counters.
 func (n *Node) accumulateEnergy(s int, pkgW, drmW, dtSec float64) {
 	const unitsPerJoule = 16384 // 2^14, matching MSR_RAPL_POWER_UNIT default
 
@@ -520,15 +536,33 @@ func (n *Node) accumulateEnergy(s int, pkgW, drmW, dtSec float64) {
 	if du > 0 {
 		n.drmEnergyAcc[s] -= float64(du)
 	}
-	n.space.BumpEnergy(n.cpu0[s], pu, du)
+	n.pkgPend[s] += pu
+	n.drmPend[s] += du
 }
 
-// relPowMemo is relPow(rel, cfg.Core.FreqExp) behind a tiny
-// direct-search memo keyed on the exact bits of rel. math.Pow is pure,
-// so a hit returns the identical float64 the call would have produced —
-// byte-identity is preserved by construction. Cores whose utilisation
-// histories match carry bit-identical frequencies, so a step needs only
-// a handful of distinct evaluations.
+// publishEnergy adds every socket's pending RAPL units to its energy
+// status registers, in one register-file operation per socket. It runs
+// wherever the registers can be observed — an energy read through
+// MSRDevice, State and Space — instead of on every Step. Adding modulo
+// 2^32 is associative, and a pending sum is nonzero exactly when one of
+// its deltas was, so each observation sees the values and "set" bits
+// that bumping on every Step would have left.
+func (n *Node) publishEnergy() {
+	for s, cpu := range n.cpu0 {
+		if n.pkgPend[s] != 0 || n.drmPend[s] != 0 {
+			n.space.BumpEnergy(cpu, n.pkgPend[s], n.drmPend[s])
+			n.pkgPend[s], n.drmPend[s] = 0, 0
+		}
+	}
+}
+
+// relPowMemo is rel^cfg.Core.FreqExp, clamped to [0, 1], behind a tiny
+// direct-search memo keyed on the exact bits of rel. The power kernel
+// is pure and bit-identical to math.Pow, so a hit returns the identical
+// float64 math.Pow would have produced — byte-identity is preserved by
+// construction. Cores whose utilisation histories match carry
+// bit-identical frequencies, so a step needs only a handful of distinct
+// evaluations.
 func (n *Node) relPowMemo(rel float64) float64 {
 	if rel <= 0 {
 		return 0
@@ -542,7 +576,7 @@ func (n *Node) relPowMemo(rel float64) float64 {
 			return n.powVal[i]
 		}
 	}
-	v := math.Pow(rel, n.cfg.Core.FreqExp)
+	v := n.pow.At(rel)
 	if n.powLen < len(n.powKey) {
 		n.powKey[n.powLen] = key
 		n.powVal[n.powLen] = v
@@ -570,8 +604,8 @@ func (n *Node) flushCoreCounters() {
 	}
 }
 
-// nodeDevice is the msr.Device runtimes use: reads of core-scope
-// counters see current accumulator state.
+// nodeDevice is the msr.Device runtimes use: reads of the fixed and
+// RAPL energy counters see current accumulator state.
 type nodeDevice struct{ n *Node }
 
 // Read implements msr.Device.
@@ -579,6 +613,8 @@ func (d nodeDevice) Read(cpu int, reg uint32) (uint64, error) {
 	switch reg {
 	case msr.FixedCtrInstRetired, msr.FixedCtrCPUCycles:
 		d.n.flushCoreCounters()
+	case msr.PkgEnergyStatus, msr.DramEnergyStatus:
+		d.n.publishEnergy()
 	}
 	return d.n.space.Read(cpu, reg)
 }
@@ -586,15 +622,4 @@ func (d nodeDevice) Read(cpu int, reg uint32) (uint64, error) {
 // Write implements msr.Device.
 func (d nodeDevice) Write(cpu int, reg uint32, val uint64) error {
 	return d.n.space.Write(cpu, reg, val)
-}
-
-// relPow is a clamped power-law helper.
-func relPow(rel, exp float64) float64 {
-	if rel <= 0 {
-		return 0
-	}
-	if rel >= 1 {
-		return 1
-	}
-	return math.Pow(rel, exp)
 }

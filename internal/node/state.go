@@ -76,6 +76,7 @@ type State struct {
 
 // State captures the node.
 func (n *Node) State() State {
+	n.publishEnergy()
 	st := State{
 		MSR:          n.space.State(),
 		UncoreEff:    append([]float64(nil), n.uncoreEff...),
@@ -207,5 +208,7 @@ func (n *Node) Restore(st State) error {
 	copy(n.powVal[:], st.PowVal)
 	n.powIns = st.PowIns
 	n.flushed = false
+	clear(n.pkgPend)
+	clear(n.drmPend)
 	return nil
 }

@@ -17,6 +17,7 @@ package power
 import (
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // CoreParams models one socket's core domain.
@@ -47,7 +48,72 @@ func (p CoreParams) Power(busyCores, relFreq float64) float64 {
 		busyCores = 0
 	}
 	relFreq = clamp01(relFreq)
-	return p.IdleWatts + p.MaxPerCoreWatts*busyCores*pow(relFreq, p.FreqExp)
+	return p.IdleWatts + p.MaxPerCoreWatts*busyCores*p.FreqPow().At(relFreq)
+}
+
+// FreqPow returns the kernel that evaluates relFreq^FreqExp. Build it
+// once and keep it: the exponent split happens here, not per call.
+func (p CoreParams) FreqPow() FixedPow {
+	k := FixedPow{exp: p.FreqExp}
+	// Outside Validate's range the integer part can exceed what the
+	// exactness argument in At covers; so can a platform whose
+	// math.Pow is not the portable Go code (s390x has an assembly one).
+	if !(p.FreqExp >= 1 && p.FreqExp <= 3.5) || runtime.GOARCH == "s390x" {
+		return k
+	}
+	// The same split math.Pow makes: integer and fractional parts, the
+	// fraction moved into (-0.5, 0.5] so Exp(yf*Log(x)) stays near 1.
+	yi, yf := math.Modf(p.FreqExp)
+	if yf > 0.5 {
+		yf--
+		yi++
+	}
+	k.yi, k.yf = int(yi), yf
+	return k
+}
+
+// FixedPow evaluates x^e for one fixed exponent e, bit-identical to
+// math.Pow(x, e) for every x.
+//
+// The portable math.Pow computes Exp(yf*Log(x)), multiplies in x^yi by
+// repeated squaring of Frexp's mantissa of x while it tracks the binary
+// exponent in an integer, and applies that exponent with one Ldexp at
+// the end. Scaling by a power of two is exact while a value stays
+// normal, so the same products taken on x itself, in the same order,
+// round to the same mantissas; the final Ldexp is then exact too. At
+// does exactly that for x in [powMinX, 1), where every intermediate and
+// the result lie in [2^-896, 2^128], and defers to math.Pow elsewhere.
+// It skips the special-case switch, Modf, Frexp, Ldexp and the exponent
+// bookkeeping (docs/PERF.md has the measured cost).
+type FixedPow struct {
+	exp float64
+	yi  int     // 0: always call math.Pow
+	yf  float64 // exp - yi, in (-0.5, 0.5]
+}
+
+// powMinX is the smallest x At evaluates itself. With e <= 3.5 the
+// smallest intermediate is x^3.5 >= 2^-896, far from the subnormals
+// where a scaled product could round differently.
+const powMinX = 0x1p-256
+
+// At returns math.Pow(x, e), bit for bit.
+func (k FixedPow) At(x float64) float64 {
+	if k.yi == 0 || !(x >= powMinX && x < 1) {
+		return math.Pow(x, k.exp)
+	}
+	a := 1.0
+	if k.yf != 0 {
+		a = math.Exp(k.yf * math.Log(x))
+	}
+	for i := k.yi; ; {
+		if i&1 == 1 {
+			a *= x
+		}
+		if i >>= 1; i == 0 {
+			return a
+		}
+		x *= x
+	}
 }
 
 // UncoreParams models one socket's uncore domain (LLC, memory
@@ -146,5 +212,3 @@ func clamp01(x float64) float64 {
 	}
 	return x
 }
-
-func pow(x, e float64) float64 { return math.Pow(x, e) }

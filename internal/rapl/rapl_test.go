@@ -66,6 +66,28 @@ func TestPowerFromCounterDeltas(t *testing.T) {
 	}
 }
 
+// TestSampleZeroAlloc pins that sampling reuses the reader's slices,
+// and that a reused slot is cleared: the baseline after a measured
+// sample must read zero again.
+func TestSampleZeroAlloc(t *testing.T) {
+	s := newSpace(t)
+	r := newReader(t, s)
+	now := time.Duration(0)
+	sample := func() {
+		now += time.Second
+		s.Bump(0, msr.PkgEnergyStatus, 16384)
+		if _, err := r.Sample(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, sample); allocs != 0 {
+		t.Fatalf("Sample allocates %v times per call, want 0", allocs)
+	}
+	if got, _ := r.Sample(now); got.PkgW[0] != 0 || got.PkgJ[0] != 0 {
+		t.Fatalf("zero-interval sample kept stale values: %+v", got)
+	}
+}
+
 func TestWraparoundHandled(t *testing.T) {
 	s := newSpace(t)
 	// Park the counter just below the wrap point before the baseline.
