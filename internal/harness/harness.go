@@ -243,9 +243,10 @@ func NewNodeRecorder(n *node.Node, interval time.Duration) *telemetry.Recorder {
 	rec.Track("uncore_ghz", func() float64 { return n.UncoreFreqGHz(0) })
 	rec.Track("cpu_power_w", n.CPUPowerW)
 	rec.Track("pkg0_power_w", func() float64 { return n.PkgPowerW(0) })
+	sockets := n.Config().Sockets
 	rec.Track("dram_power_w", func() float64 {
 		var p float64
-		for s := 0; s < n.Config().Sockets; s++ {
+		for s := 0; s < sockets; s++ {
 			p += n.DramPowerW(s)
 		}
 		return p

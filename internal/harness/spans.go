@@ -44,10 +44,11 @@ func (d *spanMSRDevice) Write(cpu int, reg uint32, val uint64) error {
 // step's uncore energy, plus the workload-phase bucket under
 // sample-and-hold. It must be added to the engine after the node.
 type spanSampler struct {
-	tr     *spans.Tracer
-	n      *node.Node
-	src    interface{ PhaseName() string }
-	maxGHz float64
+	tr      *spans.Tracer
+	n       *node.Node
+	src     interface{ PhaseName() string }
+	maxGHz  float64
+	sockets int
 
 	lastPhase string
 
@@ -64,7 +65,7 @@ func (ss *spanSampler) Step(now, dt time.Duration) {
 		ss.lastPhase = name
 	}
 	n := ss.n
-	for s := 0; s < n.Config().Sockets; s++ {
+	for s := 0; s < ss.sockets; s++ {
 		rel := n.UncoreFreqGHz(s) / ss.maxGHz
 		ss.tr.AccumulateSocketActual(dt, rel, n.AttainedGBsSocket(s), n.UncorePowerW(s))
 	}
@@ -124,7 +125,7 @@ func installSpans(tr *spans.Tracer, n *node.Node, src demandSource, wname string
 		})
 	}
 
-	ss := &spanSampler{tr: tr, n: n, src: src, maxGHz: cfg.UncoreMaxGHz}
+	ss := &spanSampler{tr: tr, n: n, src: src, maxGHz: cfg.UncoreMaxGHz, sockets: cfg.Sockets}
 	if o != nil {
 		reg := o.Registry()
 		wasteVec := reg.GaugeVec("magus_waste_joules",

@@ -240,6 +240,9 @@ func TestAddZeroAlloc(t *testing.T) {
 		s.Add(123.456)
 		s.Add(0)
 		s.Add(7.2e9)
+		s.Add(5e14)
+		s.Add(math.Inf(1))
+		s.Add(math.NaN())
 	})
 	if allocs != 0 {
 		t.Fatalf("Add allocates: %v allocs/op", allocs)

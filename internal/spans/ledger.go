@@ -201,6 +201,9 @@ type Ledger struct {
 	phase      string
 	phaseAttr  map[string]*EnergyAttr
 	phaseOrder []string
+	// phaseCur caches phaseAttr[phase] once the phase has accumulated;
+	// nil until then and after every phase change or restore.
+	phaseCur *EnergyAttr
 
 	// Tenant split (co-located runs): tenantW is a live, caller-owned
 	// weight slice the workload multiplexer mutates in place each step;
@@ -254,6 +257,7 @@ func (l *Ledger) closeDecision() EnergyAttr {
 
 func (l *Ledger) setPhase(name string) {
 	l.phase = name
+	l.phaseCur = nil
 }
 
 func (l *Ledger) accumulate(dt, baseW, usefulW, wasteW, totalW float64) {
@@ -265,14 +269,18 @@ func (l *Ledger) accumulate(dt, baseW, usefulW, wasteW, totalW float64) {
 		l.decision.add(dt, baseW, usefulW, wasteW, totalW)
 	}
 	if l.phase != "" {
-		if l.phaseAttr == nil {
-			l.phaseAttr = make(map[string]*EnergyAttr, 8)
-		}
-		a := l.phaseAttr[l.phase]
+		a := l.phaseCur
 		if a == nil {
-			a = &EnergyAttr{}
-			l.phaseAttr[l.phase] = a
-			l.phaseOrder = append(l.phaseOrder, l.phase)
+			if l.phaseAttr == nil {
+				l.phaseAttr = make(map[string]*EnergyAttr, 8)
+			}
+			a = l.phaseAttr[l.phase]
+			if a == nil {
+				a = &EnergyAttr{}
+				l.phaseAttr[l.phase] = a
+				l.phaseOrder = append(l.phaseOrder, l.phase)
+			}
+			l.phaseCur = a
 		}
 		a.add(dt, baseW, usefulW, wasteW, totalW)
 	}

@@ -190,6 +190,53 @@ func TestLedgerPhaseAttribution(t *testing.T) {
 	}
 }
 
+// TestLedgerPhaseCache checks the cached current-phase accumulator:
+// a phase set but never accumulated stays out of Phases, and a tracer
+// restored mid-phase accumulates into the restored bucket, not into
+// the one it cached before the restore.
+func TestLedgerPhaseCache(t *testing.T) {
+	m := testModel()
+	dt := 10 * time.Millisecond
+	begin := func() *Tracer {
+		tr := New(10)
+		tr.SetPowerModel(m)
+		tr.BeginRun(Meta{})
+		return tr
+	}
+
+	ref := begin()
+	ref.SetPhase("skipped")
+	ref.SetPhase("a")
+	ref.AccumulateSocketActual(dt, 1, 50, m.Total(1, 50))
+	snap := ref.State()
+
+	other := begin()
+	other.SetPhase("a")
+	other.AccumulateSocketActual(dt, 0.5, 0, m.Total(0.5, 0)) // caches other's own "a"
+	if err := other.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*Tracer{ref, other} {
+		tr.AccumulateSocketActual(dt, 1, 100, m.Total(1, 100))
+		tr.SetPhase("b")
+		tr.AccumulateSocketActual(dt, 0.5, 10, m.Total(0.5, 10))
+		tr.SetPhase("a")
+		tr.AccumulateSocketActual(dt, 1, 0, m.Total(1, 0))
+	}
+	got, want := other.Ledger().Phases(), ref.Ledger().Phases()
+	if len(want) != 2 || want[0].Name != "a" || want[1].Name != "b" {
+		t.Fatalf("phases (first-accumulated order) = %+v", want)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("restored phases = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("restored phase %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestEnergyAttrHelpers covers the small accessors.
 func TestEnergyAttrHelpers(t *testing.T) {
 	e := EnergyAttr{BaselineJ: 1, UsefulJ: 2, WasteJ: 3, TotalJ: 6}

@@ -147,6 +147,7 @@ func (t *Tracer) Restore(st *TracerState) error {
 	l.phase = st.Ledger.Phase
 	l.phaseAttr = nil
 	l.phaseOrder = nil
+	l.phaseCur = nil
 	for _, p := range st.Ledger.Phases {
 		if l.phaseAttr == nil {
 			l.phaseAttr = make(map[string]*EnergyAttr, len(st.Ledger.Phases))
