@@ -111,7 +111,8 @@ func (a *mdfs) step(in ReplayInput, write func(ghz float64) bool) (Decision, boo
 
 	// Phase 2 first (Algorithm 3 lines 9–15): the high-frequency state
 	// is computed from the log of *previous* cycles' decisions — the
-	// rolling non-zero count over the same ratio HighFrequency scans.
+	// rolling non-zero count over the same ratio the reference
+	// HighFrequency (reference_test.go) scans.
 	hi := !a.cfg.DisableHighFreq &&
 		float64(a.tuneCount)/float64(a.tuneLog.Len()) >= a.cfg.HighFreqThreshold
 	a.highFreq = hi

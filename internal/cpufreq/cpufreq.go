@@ -12,7 +12,9 @@ import (
 )
 
 // PState is one core's autonomous frequency controller. The zero value
-// is unusable; construct with New.
+// is unusable; construct with New. A PState is a plain value: copying
+// one yields an independent controller in the same state, so a node
+// fills its per-core array from one validated template.
 type PState struct {
 	MinGHz  float64
 	BaseGHz float64
@@ -25,11 +27,11 @@ type PState struct {
 }
 
 // New returns a controller initialised at the minimum frequency.
-func New(minGHz, baseGHz, maxGHz float64, tau time.Duration) *PState {
+func New(minGHz, baseGHz, maxGHz float64, tau time.Duration) PState {
 	if !(0 < minGHz && minGHz <= baseGHz && baseGHz <= maxGHz) || tau <= 0 {
 		panic(fmt.Sprintf("cpufreq: invalid pstate %v/%v/%v tau=%v", minGHz, baseGHz, maxGHz, tau))
 	}
-	return &PState{MinGHz: minGHz, BaseGHz: baseGHz, MaxGHz: maxGHz, Tau: tau, cur: minGHz}
+	return PState{MinGHz: minGHz, BaseGHz: baseGHz, MaxGHz: maxGHz, Tau: tau, cur: minGHz}
 }
 
 // Target returns the steady-state frequency for a utilisation in [0,1]:

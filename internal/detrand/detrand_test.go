@@ -1,6 +1,7 @@
 package detrand
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -85,5 +86,100 @@ func TestSeedResetsCount(t *testing.T) {
 	s.Seed(9)
 	if s.Draws() != 0 || s.Seed0() != 9 {
 		t.Fatalf("after Seed: draws=%d seed=%d", s.Draws(), s.Seed0())
+	}
+}
+
+// matchSeed re-seeds ref and src with seed and fails t at the first of
+// n Int63 draws on which they differ.
+func matchSeed(t testing.TB, ref rand.Source, src *Source, seed int64, n int) {
+	t.Helper()
+	ref.Seed(seed)
+	src.Seed(seed)
+	for i := 0; i < n; i++ {
+		if a, b := ref.Int63(), src.Int63(); a != b {
+			t.Fatalf("seed %d draw %d: Int63 %d, math/rand %d", seed, i, b, a)
+		}
+	}
+}
+
+// The owned generator is math/rand's, seeded without division and in
+// three lanes: its Int63 stream must equal rand.NewSource's for every
+// seed, including the ones the seed reduction treats specially.
+func TestSourceMatchesMathRand(t *testing.T) {
+	const m = 1<<31 - 1
+	edges := []int64{0, 1, -1, m, -m, 2 * m, m - 1, m + 1, -m - 1,
+		math.MinInt64, math.MaxInt64, 89482311, -89482311}
+	seeds, draws := 100_000, 1000
+	if testing.Short() {
+		seeds = 2000
+	}
+	ref, src := rand.NewSource(0), NewSource(0)
+	for _, seed := range edges {
+		matchSeed(t, ref, src, seed, draws)
+	}
+	pick := rand.New(rand.NewSource(20250101))
+	for i := 0; i < seeds; i++ {
+		matchSeed(t, ref, src, int64(pick.Uint64()), draws)
+	}
+}
+
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	for _, seed := range []int64{0, 1, -1, 1<<31 - 1, math.MinInt64, math.MaxInt64, 89482311} {
+		f.Add(seed)
+	}
+	ref, src := rand.NewSource(0), NewSource(0)
+	f.Fuzz(func(t *testing.T, seed int64) {
+		matchSeed(t, ref, src, seed, 1300)
+	})
+}
+
+// Restore steps the inlined register; at every position, including the
+// ones where the feed and tap indices wrap, it must land where a fresh
+// source drawn that far is.
+func TestRestoreEqualsDrawing(t *testing.T) {
+	const seed = int64(-77)
+	for _, n := range []uint64{0, 1, 606, 607, 608, 100_000} {
+		fresh := NewSource(seed)
+		for i := uint64(0); i < n; i++ {
+			fresh.Int63()
+		}
+		restored := NewSource(3)
+		restored.Int63()
+		restored.Restore(seed, n)
+		if restored.Draws() != n || restored.Seed0() != seed {
+			t.Fatalf("Restore(%d, %d): draws/seed = %d/%d", seed, n, restored.Draws(), restored.Seed0())
+		}
+		if *restored != *fresh {
+			t.Fatalf("Restore(%d, %d) state differs from a fresh source drawn %d times", seed, n, n)
+		}
+	}
+}
+
+// Sinks keep the compiler from eliding the constructions measured below.
+var (
+	sourceSink     *Source
+	randSourceSink rand.Source
+)
+
+// Building a member seeds several sources; each is one allocation, the
+// Source itself with its state inline.
+func TestNewSourceAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { sourceSink = NewSource(42) }); got != 1 {
+		t.Fatalf("NewSource allocates %v times, want 1", got)
+	}
+}
+
+func BenchmarkNewSource(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sourceSink = NewSource(int64(i))
+	}
+}
+
+// BenchmarkMathRandNewSource is the reference NewSource replaces.
+func BenchmarkMathRandNewSource(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		randSourceSink = rand.NewSource(int64(i))
 	}
 }

@@ -21,11 +21,11 @@ type Clock struct {
 }
 
 // New returns a controller initialised at the idle clock.
-func New(idleMHz, maxMHz float64, tau time.Duration) *Clock {
+func New(idleMHz, maxMHz float64, tau time.Duration) Clock {
 	if !(0 < idleMHz && idleMHz < maxMHz) || tau <= 0 {
 		panic(fmt.Sprintf("gpudvfs: invalid clock %v/%v tau=%v", idleMHz, maxMHz, tau))
 	}
-	return &Clock{IdleMHz: idleMHz, MaxMHz: maxMHz, Tau: tau, cur: idleMHz}
+	return Clock{IdleMHz: idleMHz, MaxMHz: maxMHz, Tau: tau, cur: idleMHz}
 }
 
 // Target returns the steady-state SM clock for an SM utilisation in

@@ -6,7 +6,10 @@ import (
 	"time"
 )
 
-func newA100() *Clock { return New(210, 1410, 20*time.Millisecond) }
+func newA100() *Clock {
+	c := New(210, 1410, 20*time.Millisecond)
+	return &c
+}
 
 func TestTargetShape(t *testing.T) {
 	c := newA100()

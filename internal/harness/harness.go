@@ -196,7 +196,8 @@ type envMonitors struct {
 func buildEnv(n *node.Node, fset *faults.Set, noise func(gbs float64) float64) (*governor.Env, *envMonitors, error) {
 	cfg := n.Config()
 	dev := fset.WrapDevice(n.MSRDevice())
-	raplReader, err := rapl.New(dev, cfg.Sockets, n.Space().FirstCPUOf)
+	firstCPU := n.Space().FirstCPUOf
+	raplReader, err := rapl.New(dev, cfg.Sockets, firstCPU)
 	if err != nil {
 		if !fset.Armed() {
 			return nil, nil, fmt.Errorf("harness: rapl: %w", err)
@@ -209,7 +210,7 @@ func buildEnv(n *node.Node, fset *faults.Set, noise func(gbs float64) float64) (
 	if noise != nil {
 		mon.SetNoise(noise)
 	}
-	mons := &envMonitors{sys: mon}
+	mons := &envMonitors{sys: mon, sock: make([]*pcm.Monitor, cfg.Sockets)}
 	sockPCM := make([]pcm.Reader, cfg.Sockets)
 	for s := 0; s < cfg.Sockets; s++ {
 		sock := s
@@ -217,7 +218,7 @@ func buildEnv(n *node.Node, fset *faults.Set, noise func(gbs float64) float64) (
 		if noise != nil {
 			m.SetNoise(noise)
 		}
-		mons.sock = append(mons.sock, m)
+		mons.sock[s] = m
 		sockPCM[s] = fset.WrapPCM(m)
 	}
 	return &governor.Env{
@@ -226,7 +227,7 @@ func buildEnv(n *node.Node, fset *faults.Set, noise func(gbs float64) float64) (
 		RAPL:         raplReader,
 		Sockets:      cfg.Sockets,
 		CPUs:         cfg.Sockets * cfg.CoresPerSocket,
-		FirstCPU:     n.Space().FirstCPUOf,
+		FirstCPU:     firstCPU,
 		SocketPCM:    sockPCM,
 		UncoreMinGHz: cfg.UncoreMinGHz,
 		UncoreMaxGHz: cfg.UncoreMaxGHz,

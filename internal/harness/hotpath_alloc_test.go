@@ -59,3 +59,51 @@ func TestSteadyStateTickZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state engine tick allocates %v times per tick, want 0", allocs)
 	}
 }
+
+// newSteppableMaxAllocs bounds the allocations of wiring one
+// single-tenant MAGUS run without observers: engine, node, runner and
+// its source, environment, governor attach, component and task
+// registration. None of them grows with the core count.
+const newSteppableMaxAllocs = 45
+
+// TestNewSteppableAllocs pins the set-up cost of one member. The
+// governors are built beforehand, outside the measurement, because each
+// run needs a fresh one.
+func TestNewSteppableAllocs(t *testing.T) {
+	prog, ok := workload.ByName("bfs")
+	if !ok {
+		t.Fatal("unknown workload bfs")
+	}
+	for _, cfg := range []node.Config{node.IntelA100(), node.IntelMax1550()} {
+		const runs = 20
+		govs := make([]*core.MAGUS, runs+1) // AllocsPerRun adds a warm-up run
+		for i := range govs {
+			govs[i] = core.New(core.DefaultConfig())
+		}
+		i := 0
+		got := testing.AllocsPerRun(runs, func() {
+			if _, err := NewSteppable(cfg, prog, govs[i], Options{Seed: 7}); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if got > newSteppableMaxAllocs {
+			t.Errorf("NewSteppable(%s) allocates %v times, want at most %d", cfg.Name, got, newSteppableMaxAllocs)
+		}
+	}
+}
+
+// BenchmarkNewSteppable times wiring one member, governor included.
+func BenchmarkNewSteppable(b *testing.B) {
+	cfg := node.IntelA100()
+	prog, ok := workload.ByName("bfs")
+	if !ok {
+		b.Fatal("unknown workload bfs")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewSteppable(cfg, prog, core.New(core.DefaultConfig()), Options{Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -62,3 +62,17 @@ func BenchmarkHotPathNodeStepJittered(b *testing.B) {
 		n.Step(time.Duration(100+i)*time.Millisecond, time.Millisecond)
 	}
 }
+
+// nodeSink keeps the compiler from eliding the constructions measured
+// by BenchmarkNew and TestNewAllocs.
+var nodeSink *Node
+
+// BenchmarkNew measures building one Intel+A100 node (2×40 cores, one
+// GPU), the node's share of a member's set-up.
+func BenchmarkNew(b *testing.B) {
+	cfg := IntelA100()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		nodeSink = New(cfg)
+	}
+}

@@ -125,3 +125,22 @@ func TestLimitCacheFollowsWrites(t *testing.T) {
 		}
 	}
 }
+
+// newAllocs is the allocation count of New for a GPU node of any
+// topology: the node, its register file (three), one backing array per
+// element type of the per-socket and per-core state (five), and the GPU
+// array.
+const newAllocs = 10
+
+// TestNewAllocs pins that building a node costs a constant number of
+// allocations, independent of the core and GPU count: 40 and 32 cores
+// per socket, one GPU or four, build with the same count.
+func TestNewAllocs(t *testing.T) {
+	for _, cfg := range []Config{IntelA100(), IntelMax1550(), Intel4A100()} {
+		got := testing.AllocsPerRun(20, func() { nodeSink = New(cfg) })
+		if got != newAllocs {
+			t.Errorf("New(%s, %d×%d cores) allocates %v times, want %d",
+				cfg.Name, cfg.Sockets, cfg.CoresPerSocket, got, newAllocs)
+		}
+	}
+}

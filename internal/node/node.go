@@ -14,7 +14,7 @@ import (
 // gpuState is one GPU board's live state.
 type gpuState struct {
 	spec    GPUSpec
-	clock   *gpudvfs.Clock
+	clock   gpudvfs.Clock
 	smUtil  float64
 	memUtil float64
 	powerW  float64
@@ -48,12 +48,12 @@ type Node struct {
 	drmPend      []uint64
 
 	// Per-core state.
-	pstates  []*cpufreq.PState
+	pstates  []cpufreq.PState
 	coreUtil []float64
 	instAcc  []float64 // instructions retired (float accumulator)
 	cycAcc   []float64 // unhalted cycles
 
-	gpus []*gpuState
+	gpus []gpuState
 
 	demand           workload.Demand
 	tenantShares     []workload.TenantShare
@@ -101,36 +101,45 @@ type Node struct {
 
 // New builds a node from cfg with all controllers at their idle points
 // and MSRs initialised to vendor defaults (uncore limit = full range).
+// The per-socket and per-core arrays are carved from one backing array
+// per element type and the core controllers are copied by value from
+// one template, so the allocation count does not grow with the core
+// count (TestNewAllocs).
 func New(cfg Config) *Node {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	ns, nc := cfg.Sockets, cfg.Sockets*cfg.CoresPerSocket
+	f64 := make([]float64, 13*ns+3*nc)
+	u64 := make([]uint64, 3*ns)
+	ints := make([]int, 2*ns)
 	n := &Node{
 		cfg:          cfg,
 		space:        msr.NewSpace(cfg.Sockets, cfg.CoresPerSocket),
-		uncoreEff:    make([]float64, cfg.Sockets),
-		clampCeil:    make([]float64, cfg.Sockets),
-		pkgPowerW:    make([]float64, cfg.Sockets),
-		uncPowerW:    make([]float64, cfg.Sockets),
-		drmPowerW:    make([]float64, cfg.Sockets),
-		pkgEnergyAcc: make([]float64, cfg.Sockets),
-		drmEnergyAcc: make([]float64, cfg.Sockets),
-		pkgPend:      make([]uint64, cfg.Sockets),
-		drmPend:      make([]uint64, cfg.Sockets),
-		pstates:      make([]*cpufreq.PState, cfg.Sockets*cfg.CoresPerSocket),
-		coreUtil:     make([]float64, cfg.Sockets*cfg.CoresPerSocket),
-		instAcc:      make([]float64, cfg.Sockets*cfg.CoresPerSocket),
-		cycAcc:       make([]float64, cfg.Sockets*cfg.CoresPerSocket),
-		attainedSock: make([]float64, cfg.Sockets),
-		servedGBSock: make([]float64, cfg.Sockets),
-		cpu0:         make([]int, cfg.Sockets),
-		sockTraffic:  make([]float64, cfg.Sockets),
-		lastStatus:   make([]uint64, cfg.Sockets),
-		maxActive:    make([]int, cfg.Sockets),
-		limMax:       make([]float64, cfg.Sockets),
-		limMin:       make([]float64, cfg.Sockets),
-		pl1W:         make([]float64, cfg.Sockets),
-		pl1On:        make([]bool, cfg.Sockets),
+		uncoreEff:    carve(&f64, ns),
+		clampCeil:    carve(&f64, ns),
+		pkgPowerW:    carve(&f64, ns),
+		uncPowerW:    carve(&f64, ns),
+		drmPowerW:    carve(&f64, ns),
+		pkgEnergyAcc: carve(&f64, ns),
+		drmEnergyAcc: carve(&f64, ns),
+		pkgPend:      carve(&u64, ns),
+		drmPend:      carve(&u64, ns),
+		pstates:      make([]cpufreq.PState, nc),
+		coreUtil:     carve(&f64, nc),
+		instAcc:      carve(&f64, nc),
+		cycAcc:       carve(&f64, nc),
+		gpus:         make([]gpuState, len(cfg.GPUs)),
+		attainedSock: carve(&f64, ns),
+		servedGBSock: carve(&f64, ns),
+		cpu0:         carve(&ints, ns),
+		sockTraffic:  carve(&f64, ns),
+		lastStatus:   carve(&u64, ns),
+		maxActive:    carve(&ints, ns),
+		limMax:       carve(&f64, ns),
+		limMin:       carve(&f64, ns),
+		pl1W:         carve(&f64, ns),
+		pl1On:        make([]bool, ns),
 		pow:          cfg.Core.FreqPow(),
 	}
 	for s := 0; s < cfg.Sockets; s++ {
@@ -145,16 +154,22 @@ func New(cfg Config) *Node {
 			uint64(cfg.TDPWatts/0.125)) // power units of 1/8 W
 	}
 	n.refreshLimits()
+	idle := cpufreq.New(cfg.CoreMinGHz, cfg.CoreBaseGHz, cfg.CoreMaxGHz, cfg.CoreTau)
 	for i := range n.pstates {
-		n.pstates[i] = cpufreq.New(cfg.CoreMinGHz, cfg.CoreBaseGHz, cfg.CoreMaxGHz, cfg.CoreTau)
+		n.pstates[i] = idle
 	}
-	for _, g := range cfg.GPUs {
-		n.gpus = append(n.gpus, &gpuState{
-			spec:  g,
-			clock: gpudvfs.New(g.IdleClockMHz, g.MaxClockMHz, cfg.GPUTau),
-		})
+	for i, g := range cfg.GPUs {
+		n.gpus[i] = gpuState{spec: g, clock: gpudvfs.New(g.IdleClockMHz, g.MaxClockMHz, cfg.GPUTau)}
 	}
 	return n
+}
+
+// carve returns the next k elements of *buf as a capacity-capped slice
+// and advances *buf past them.
+func carve[T any](buf *[]T, k int) []T {
+	s := (*buf)[:k:k]
+	*buf = (*buf)[k:]
+	return s
 }
 
 // Config returns the node's configuration.
@@ -291,8 +306,8 @@ func (n *Node) EnergyJ() (pkg, dram, gpu float64) { return n.pkgJ, n.drmJ, n.gpu
 // TotalPowerW returns instantaneous node power (CPU + DRAM + GPUs).
 func (n *Node) TotalPowerW() float64 {
 	p := n.CPUPowerW()
-	for _, g := range n.gpus {
-		p += g.powerW
+	for i := range n.gpus {
+		p += n.gpus[i].powerW
 	}
 	return p
 }
@@ -510,7 +525,8 @@ func (n *Node) Step(now, dt time.Duration) {
 	}
 
 	// 6. GPUs.
-	for _, g := range n.gpus {
+	for i := range n.gpus {
+		g := &n.gpus[i]
 		g.smUtil = n.demand.GPUSMUtil
 		g.memUtil = n.demand.GPUMemUtil
 		g.clock.Step(g.smUtil, dt)

@@ -115,10 +115,11 @@ func (n *Node) State() State {
 		PowVal: append([]float64(nil), n.powVal[:n.powLen]...),
 		PowIns: n.powIns,
 	}
-	for i, p := range n.pstates {
-		st.CoreGHz[i] = p.Current()
+	for i := range n.pstates {
+		st.CoreGHz[i] = n.pstates[i].Current()
 	}
-	for _, g := range n.gpus {
+	for i := range n.gpus {
+		g := &n.gpus[i]
 		st.GPUs = append(st.GPUs, GPUState{
 			ClockMHz: g.clock.Current(),
 			SMUtil:   g.smUtil,
@@ -166,13 +167,14 @@ func (n *Node) Restore(st State) error {
 	copy(n.drmPowerW, st.DrmPowerW)
 	copy(n.pkgEnergyAcc, st.PkgEnergyAcc)
 	copy(n.drmEnergyAcc, st.DrmEnergyAcc)
-	for i, p := range n.pstates {
-		p.SetCurrent(st.CoreGHz[i])
+	for i := range n.pstates {
+		n.pstates[i].SetCurrent(st.CoreGHz[i])
 	}
 	copy(n.coreUtil, st.CoreUtil)
 	copy(n.instAcc, st.InstAcc)
 	copy(n.cycAcc, st.CycAcc)
-	for i, g := range n.gpus {
+	for i := range n.gpus {
+		g := &n.gpus[i]
 		g.clock.SetCurrent(st.GPUs[i].ClockMHz)
 		g.smUtil = st.GPUs[i].SMUtil
 		g.memUtil = st.GPUs[i].MemUtil

@@ -38,20 +38,23 @@ func New(dev msr.Device, sockets int, firstCPU func(int) int) (*Reader, error) {
 	if sockets <= 0 {
 		return nil, fmt.Errorf("rapl: non-positive socket count %d", sockets)
 	}
+	// The per-socket arrays share one backing array per element type.
+	f64 := make([]float64, 7*sockets)
+	u64 := make([]uint64, 2*sockets)
 	r := &Reader{
 		dev:        dev,
 		sockets:    sockets,
 		firstCPU:   firstCPU,
-		jouleUnit:  make([]float64, sockets),
-		lastPkg:    make([]uint64, sockets),
-		lastDram:   make([]uint64, sockets),
-		totalPkgJ:  make([]float64, sockets),
-		totalDramJ: make([]float64, sockets),
+		jouleUnit:  carve(&f64, sockets),
+		lastPkg:    carve(&u64, sockets),
+		lastDram:   carve(&u64, sockets),
+		totalPkgJ:  carve(&f64, sockets),
+		totalDramJ: carve(&f64, sockets),
 		out: Sample{
-			PkgJ:  make([]float64, sockets),
-			DramJ: make([]float64, sockets),
-			PkgW:  make([]float64, sockets),
-			DramW: make([]float64, sockets),
+			PkgJ:  carve(&f64, sockets),
+			DramJ: carve(&f64, sockets),
+			PkgW:  carve(&f64, sockets),
+			DramW: carve(&f64, sockets),
 		},
 	}
 	for s := 0; s < sockets; s++ {
@@ -66,6 +69,14 @@ func New(dev msr.Device, sockets int, firstCPU func(int) int) (*Reader, error) {
 		r.jouleUnit[s] = ju
 	}
 	return r, nil
+}
+
+// carve returns the next k elements of *buf as a capacity-capped slice
+// and advances *buf past them.
+func carve[T any](buf *[]T, k int) []T {
+	s := (*buf)[:k:k]
+	*buf = (*buf)[k:]
+	return s
 }
 
 // Sockets returns the socket count.

@@ -257,10 +257,6 @@ func (m *Mux) TenantDone(i int) bool { return m.runners[i].Done() }
 // Demand returns the combined demand published by the last Step.
 func (m *Mux) Demand() Demand { return m.demand }
 
-// Owner returns the index of the tenant holding the node exclusively
-// this step, or -1 when demands superpose.
-func (m *Mux) Owner() int { return m.owner }
-
 // NominalDuration is the colocation's serialised nominal runtime — the
 // sum of tenant nominal durations, the horizon-sizing bound for both
 // policies (time-slicing serialises; concurrent tenants contend for

@@ -5,6 +5,10 @@ import (
 	"time"
 )
 
+// Owner returns the index of the tenant holding the node exclusively
+// this step, or -1 when demands superpose.
+func (m *Mux) Owner() int { return m.owner }
+
 func muxSpec2(policy MuxPolicy) MuxSpec {
 	return MuxSpec{
 		Policy: policy,
